@@ -16,7 +16,7 @@ from specto import (
     Matrix,
     StabilizerConfig,
     auto_grid,
-    build_spectral_report,
+    build_matrix_report,
     compute_field,
     extract_contours,
     portrait_svg,
@@ -66,7 +66,7 @@ def main():
     print(f"\n{'gate':<12}{'rho':>10}{'norm':>10}{'henrici':>10}{'departure':>11}")
     eps = list(DEFAULT_EPS_LEVELS)
     for gate, w in extract_recurrent_matrices(cell):
-        rep = build_spectral_report(w)
+        rep = build_matrix_report(gate, w)
         print(f"{gate:<12}{rep.spectral_radius:>10.4f}{rep.spectral_norm:>10.4f}"
               f"{rep.henrici:>10.4f}{rep.schur_departure:>11.4f}")
         write_matrix_file(out / f"{cfg.kind}-{gate}.pspc", w, name=f"{cfg.kind}-{gate}")

@@ -12,7 +12,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from specto import build_spectral_report
+from specto import build_matrix_report
 from specto.rnn import (
     Dataset,
     TrainConfig,
@@ -73,7 +73,7 @@ def main():
     print(f"test accuracy: {accuracy(cell, test_ds, 'mnist'):.4f} (chance is 0.1)")
     print(f"\n{'gate':<12}{'rho':>10}{'norm':>10}{'henrici':>10}")
     for gate, w in extract_recurrent_matrices(cell):
-        rep = build_spectral_report(w)
+        rep = build_matrix_report(gate, w)
         print(f"{gate:<12}{rep.spectral_radius:>10.4f}{rep.spectral_norm:>10.4f}{rep.henrici:>10.4f}")
     return 0
 

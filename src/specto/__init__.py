@@ -56,9 +56,7 @@ from .containers import (
 from .report import (
     AnalysisReport,
     MatrixReport,
-    SpectralReport,
     build_matrix_report,
-    build_spectral_report,
     compare_svg,
     parse_report,
     portrait_svg,
@@ -82,13 +80,11 @@ __all__ = [
     "PseudospectrumField",
     "SchurFactors",
     "SpectoError",
-    "SpectralReport",
     "StabilizationResult",
     "StabilizerConfig",
     "TrainingDiverged",
     "auto_grid",
     "build_matrix_report",
-    "build_spectral_report",
     "commutator_norm",
     "compare_svg",
     "compute_field",

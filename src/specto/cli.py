@@ -10,13 +10,14 @@ wall-clock timing is only embedded when --timing is passed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
-from .containers import MatrixContainer, load_matrix_any, read_matrix_file, write_matrix_file
+from .containers import MatrixContainer, load_matrix_any, write_matrix_file
 from .errors import FormatError, NumericalError
 from .matrix import Matrix
 from .pseudospectrum import (
@@ -32,11 +33,11 @@ from .report import (
     DEFAULT_STABILITY_TOL,
     build_matrix_report,
     compare_svg,
+    emit,
+    fmt_float,
     portrait_svg,
     serialize_report,
     write_contours_csv,
-    _emit,
-    _fmt_float,
 )
 from .rnn import TrainConfig, adding_splits, load_mnist_idx, train
 from .stabilizer import StabilizerConfig, stabilize
@@ -139,17 +140,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_stabilize(args) -> int:
-    container = None
-    path = Path(args.input)
-    data = path.read_bytes()
-    if data[:4] == b"PSPC":
-        container = read_matrix_file(path)
-        m, name = container.matrix, container.name
-    else:
-        m, name = load_matrix_any(path)
+    m, name = load_matrix_any(args.input)
     result = stabilize(m, StabilizerConfig(m=args.m, seed=args.seed))
     write_matrix_file(args.output, MatrixContainer.wrap(result.w_s, name))
-    print(_fmt_float(result.gain_estimate))
+    print(fmt_float(result.gain_estimate))
     return 0
 
 
@@ -186,12 +180,10 @@ def cmd_compare(args) -> int:
         for n, m, f, c in zip((before_name, after_name), (before, after), fields, contours)
     ]
     counts = [[int((f.values <= e).sum()) for e in eps] for f in fields]
-    from .report import _matrix_report_to_dict
-
     delta = {
         "eps_levels": eps,
-        "before": _matrix_report_to_dict(reports[0]),
-        "after": _matrix_report_to_dict(reports[1]),
+        "before": dataclasses.asdict(reports[0]),
+        "after": dataclasses.asdict(reports[1]),
         "henrici_delta": reports[1].henrici - reports[0].henrici,
         "node_counts_before": counts[0],
         "node_counts_after": counts[1],
@@ -199,7 +191,7 @@ def cmd_compare(args) -> int:
             (b and a / b) if b else None for a, b in zip(counts[1], counts[0])
         ],
     }
-    (out_dir / "compare.json").write_text(_emit(delta, 0) + "\n", encoding="utf-8")
+    (out_dir / "compare.json").write_text(emit(delta, 0) + "\n", encoding="utf-8")
     svg = compare_svg(
         (before_name, fields[0].eigenvalues, contours[0]),
         (after_name, fields[1].eigenvalues, contours[1]),
@@ -219,10 +211,10 @@ def _history_csv(history, gates) -> str:
         cols += [f"{g}_rho", f"{g}_henrici"]
     lines = [",".join(cols)]
     for rec in history:
-        row = [str(rec.epoch), _fmt_float(rec.loss), _fmt_float(rec.accuracy)]
+        row = [str(rec.epoch), fmt_float(rec.loss), fmt_float(rec.accuracy)]
         for g in gates:
             rep = rec.gate_reports[g]
-            row += [_fmt_float(rep.spectral_radius), _fmt_float(rep.henrici)]
+            row += [fmt_float(rep.spectral_radius), fmt_float(rep.henrici)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
@@ -281,10 +273,7 @@ def cmd_train(args) -> int:
             rep = AnalysisReport(
                 version=__version__,
                 config={"task": cfg.task, "kind": cfg.kind, "epoch": epoch, "seed": cfg.seed},
-                matrices=[
-                    build_matrix_report(f"{cfg.kind}-{gate}", Matrix(cell.w_rec[gate]))
-                    for gate in cell.gates
-                ],
+                matrices=list(record.gate_reports.values()),
             )
             (out_dir / f"report-epoch{epoch:03d}.json").write_text(
                 serialize_report(rep), encoding="utf-8"

@@ -16,6 +16,7 @@ write(read(data)) == data for every accepted file.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,7 +88,10 @@ def container_from_bytes(data: bytes, source: str = "<bytes>") -> MatrixContaine
         raise FormatError(
             f"{source}: truncated payload at offset {len(data)} (need {payload_end} bytes)"
         )
-    raw = np.frombuffer(data, dtype="<c16" if is_complex else "<f8", count=rows * cols, offset=_HEADER.size)
+    raw = np.frombuffer(data, dtype="<f8", count=count, offset=_HEADER.size)
+    bad = np.flatnonzero(~np.isfinite(raw))
+    if bad.size:
+        raise FormatError(f"{source}: non-finite value at offset {_HEADER.size + 8 * int(bad[0])}")
     name = None
     rest = data[payload_end:]
     if rest:
@@ -103,7 +107,7 @@ def container_from_bytes(data: bytes, source: str = "<bytes>") -> MatrixContaine
             name = rest[4:].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{source}: name footer is not UTF-8 at offset {payload_end + 4}") from exc
-    matrix = Matrix(raw.reshape(rows, cols))
+    matrix = Matrix((raw.view("<c16") if is_complex else raw).reshape(rows, cols))
     return MatrixContainer(matrix=matrix, name=name, complex_storage=is_complex)
 
 
@@ -134,6 +138,8 @@ def parse_matrix_csv(path) -> Matrix:
                 values.append(float(token))
             except ValueError:
                 raise FormatError(f"{path}: non-numeric token {token.strip()!r} at line {lineno}") from None
+            if not math.isfinite(values[-1]):
+                raise FormatError(f"{path}: non-finite value {token.strip()!r} at line {lineno}")
         if width is None:
             width = len(values)
         elif len(values) != width:

@@ -5,8 +5,8 @@ class SpectoError(Exception):
     """Base class for toolkit faults."""
 
 
-class FormatError(SpectoError):
-    """Malformed input file (container, CSV, IDX)."""
+class FormatError(SpectoError, ValueError):
+    """Malformed input file (container, CSV, IDX), including non-finite entries."""
 
 
 class NumericalError(SpectoError):

@@ -1,8 +1,10 @@
 """Dense complex matrices and the factorizations the rest of the toolkit consumes.
 
 Everything is double precision. Real input is promoted to complex128 so the
-whole toolkit runs on a single scalar type; the heavy kernels (SVD, eigen,
-Schur) delegate to LAPACK through numpy/scipy.
+whole toolkit runs on a single scalar type; the heavy kernels (SVD, Schur)
+delegate to LAPACK through numpy/scipy. Each matrix is factorized at most
+once: the complex Schur form (which also yields the eigenvalues) and the
+singular values are cached on the immutable instance.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ class Matrix:
     """Immutable dense matrix of complex128 entries.
 
     Entries must all be finite; the backing array is write-locked so
-    instances are safe to share across threads.
+    instances are safe to share across threads. The Schur form and the
+    singular values are computed on first use and cached (write-locked too).
     """
 
-    __slots__ = ("_a",)
+    __slots__ = ("_a", "_schur", "_sv")
 
     def __init__(self, entries):
         a = np.array(entries, dtype=np.complex128, order="C")
@@ -46,6 +49,8 @@ class Matrix:
             raise ValueError("matrix entries must be finite (no NaN/Inf)")
         a.setflags(write=False)
         self._a = a
+        self._schur: SchurFactors | None = None
+        self._sv: np.ndarray | None = None
 
     @property
     def array(self) -> np.ndarray:
@@ -148,11 +153,15 @@ def frobenius_norm(m: Matrix) -> float:
 
 
 def singular_values(m: Matrix) -> np.ndarray:
-    """All min(rows, cols) singular values, descending."""
-    try:
-        return np.linalg.svd(m.array, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
+    """All min(rows, cols) singular values, descending (read-only, cached)."""
+    if m._sv is None:
+        try:
+            sv = np.linalg.svd(m.array, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"SVD did not converge: {exc}") from exc
+        sv.setflags(write=False)
+        m._sv = sv
+    return m._sv
 
 
 def two_norm(m: Matrix) -> float:
@@ -161,12 +170,8 @@ def two_norm(m: Matrix) -> float:
 
 
 def eigenvalues(m: Matrix) -> np.ndarray:
-    """The n eigenvalues (with multiplicity) of a square matrix."""
-    _require_square(m, "eigenvalues")
-    try:
-        return np.linalg.eigvals(m.array)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
+    """The n eigenvalues (with multiplicity), in Schur order: the diagonal of T."""
+    return schur(m).eigenvalues
 
 
 def spectral_radius(m: Matrix) -> float:
@@ -175,19 +180,23 @@ def spectral_radius(m: Matrix) -> float:
 
 
 def schur(m: Matrix) -> SchurFactors:
-    """Complex Schur decomposition W = Q T Q*, T upper triangular."""
+    """Complex Schur decomposition W = Q T Q*, T upper triangular (cached)."""
     _require_square(m, "schur")
-    try:
-        t, q = scipy.linalg.schur(m.array, output="complex")
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
-    t = np.triu(t)  # LAPACK already zeros the lower part; make it structural
-    return SchurFactors(
-        q=Matrix(q),
-        t=Matrix(t),
-        eigenvalues=np.diag(t).copy(),
-        n_strict=Matrix(np.triu(t, 1)),
-    )
+    if m._schur is None:
+        try:
+            t, q = scipy.linalg.schur(m.array, output="complex")
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Schur decomposition failed: {exc}") from exc
+        t = np.triu(t)  # LAPACK already zeros the lower part; make it structural
+        evs = np.diag(t).copy()
+        evs.setflags(write=False)
+        m._schur = SchurFactors(
+            q=Matrix(q),
+            t=Matrix(t),
+            eigenvalues=evs,
+            n_strict=Matrix(np.triu(t, 1)),
+        )
+    return m._schur
 
 
 def mat_power_norms(m: Matrix, l_max: int) -> np.ndarray:

@@ -5,17 +5,20 @@ unitarily diagonalizable and only then do eigenvalues tell the whole
 stability story. Two indices are exposed: the Henrici number (commutator
 norm over squared Frobenius norm, scale invariant, 0 iff normal) and the
 Schur departure ||N||_F, the strictly upper triangular mass left over after
-unitary triangularization.
+unitary triangularization. Both, and the commutator norm, are evaluated on
+W divided by a power of two near its largest entry, so entries near the
+overflow threshold still give finite indices.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import Matrix, frobenius_norm, schur
+from .matrix import Matrix, schur
 
 __all__ = [
     "NonNormalityReport",
@@ -37,12 +40,39 @@ class NonNormalityReport:
     commutator_norm: float
 
 
-def commutator_norm(w: Matrix) -> float:
-    """||W W* - W* W||_F."""
+def _normalized(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """(a / s, s), s the power of two with s <= (largest |Re| or |Im| entry) < 2s.
+
+    Dividing by a power of two is exact, so norms of the quotient scaled back
+    by s equal the unscaled ones bit for bit whenever those do not overflow.
+    """
+    peak = float(max(np.abs(a.real).max(), np.abs(a.imag).max()))
+    if peak == 0.0:
+        return a, 1.0
+    s = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+    return a / s, s
+
+
+def _commutator_parts(w: Matrix, op: str) -> tuple[float, float, float]:
+    """||V V* - V* V||_F, ||V||_F and s for V = W / s (see _normalized)."""
     if not w.is_square:
-        raise ValueError(f"commutator_norm requires a square matrix, got {w.shape}")
-    a = w.array
-    return float(np.linalg.norm(a @ a.conj().T - a.conj().T @ a))
+        raise ValueError(f"{op} requires a square matrix, got {w.shape}")
+    v, s = _normalized(w.array)
+    vh = v.conj().T
+    return float(np.linalg.norm(v @ vh - vh @ v)), float(np.linalg.norm(v)), s
+
+
+def _within_tol(comm: float, fro: float, s: float, tol: float) -> bool:
+    """||[W, W*]||_F <= tol * max(1, ||W||_F^2), evaluated on V = W / s."""
+    if fro * s >= 1.0:
+        return comm <= tol * fro**2
+    return comm * s * s <= tol
+
+
+def commutator_norm(w: Matrix) -> float:
+    """||W W* - W* W||_F (inf when the true value exceeds the float range)."""
+    comm, _, s = _commutator_parts(w, "commutator_norm")
+    return comm * s * s
 
 
 def henrici_number(w: Matrix) -> float:
@@ -51,9 +81,7 @@ def henrici_number(w: Matrix) -> float:
     Zero (within rounding) iff W is normal. The zero matrix is degenerate;
     it is reported as 0 with a warning.
     """
-    if not w.is_square:
-        raise ValueError(f"henrici_number requires a square matrix, got {w.shape}")
-    fro = frobenius_norm(w)
+    comm, fro, _ = _commutator_parts(w, "henrici_number")
     if fro == 0.0:
         warnings.warn(
             "henrici_number of the zero matrix is degenerate; returning 0",
@@ -61,7 +89,7 @@ def henrici_number(w: Matrix) -> float:
             stacklevel=2,
         )
         return 0.0
-    return commutator_norm(w) / fro**2
+    return comm / fro**2
 
 
 def schur_departure(w: Matrix) -> tuple[np.ndarray, float]:
@@ -71,21 +99,21 @@ def schur_departure(w: Matrix) -> tuple[np.ndarray, float]:
     ||N||_F^2 = ||W||_F^2 - sum |lambda_i|^2.
     """
     factors = schur(w)
-    return factors.eigenvalues, frobenius_norm(factors.n_strict)
+    n, s = _normalized(factors.n_strict.array)
+    return factors.eigenvalues, float(np.linalg.norm(n)) * s
 
 
 def is_normal(w: Matrix, tol: float = DEFAULT_NORMALITY_TOL) -> bool:
     """True iff the commutator norm is <= tol * max(1, ||W||_F^2)."""
-    return commutator_norm(w) <= tol * max(1.0, frobenius_norm(w) ** 2)
+    return _within_tol(*_commutator_parts(w, "is_normal"), tol)
 
 
 def nonnormality_report(w: Matrix, tol: float = DEFAULT_NORMALITY_TOL) -> NonNormalityReport:
     _, departure = schur_departure(w)
-    fro = frobenius_norm(w)
-    comm = commutator_norm(w)
+    comm, fro, s = _commutator_parts(w, "nonnormality_report")
     return NonNormalityReport(
         henrici=0.0 if fro == 0.0 else comm / fro**2,
         schur_departure=departure,
-        is_normal=comm <= tol * max(1.0, fro**2),
-        commutator_norm=comm,
+        is_normal=_within_tol(comm, fro, s, tol),
+        commutator_norm=comm * s * s,
     )

@@ -103,7 +103,6 @@ class PseudospectrumField:
     grid: GridSpec
     values: np.ndarray
     eigenvalues: np.ndarray
-    source_dim: int
 
     def __post_init__(self):
         if self.values.shape != (self.grid.nx, self.grid.ny):
@@ -216,7 +215,7 @@ def compute_field(
     """Evaluate sigma_min(W - lambda*I) at every grid node.
 
     ``method="svd"`` (baseline) runs a full SVD per node, batched through
-    LAPACK. ``method="schur"`` triangularizes W once and runs inverse
+    LAPACK. ``method="schur"`` reuses W's cached Schur form and runs inverse
     iteration on the shifted triangle at each node; values agree with the
     baseline to ~1e-6 relative. Node evaluations are independent, so the
     work may fan out to threads; chunk boundaries are fixed, which makes
@@ -257,9 +256,7 @@ def compute_field(
 
     values = out.reshape(grid.nx, grid.ny)
     values.setflags(write=False)
-    return PseudospectrumField(
-        grid=grid, values=values, eigenvalues=eigenvalues(w), source_dim=n
-    )
+    return PseudospectrumField(grid=grid, values=values, eigenvalues=eigenvalues(w))
 
 
 def auto_grid(

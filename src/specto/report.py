@@ -1,7 +1,9 @@
 """Report bundles and their emitters: JSON metrics, contour CSV, SVG portraits.
 
 The JSON serializer writes every float with 17 significant digits, which
-round-trips IEEE doubles exactly; parse(serialize(report)) compares equal.
+round-trips IEEE doubles exactly; parse(serialize(report)) compares equal
+and serialize(parse(text)) reproduces the text. Both follow the dataclass
+fields, so the report keys are exactly the field names, in field order.
 Output text is fully determined by its inputs -- no timestamps, no
 filesystem paths -- so identical runs produce identical bytes.
 """
@@ -9,7 +11,8 @@ filesystem paths -- so identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -18,13 +21,13 @@ from .nonnormality import nonnormality_report
 from .pseudospectrum import ContourSet, GridSpec, PseudospectrumField, kreiss_lower_bound
 
 __all__ = [
-    "SpectralReport",
     "MatrixReport",
     "AnalysisReport",
-    "build_spectral_report",
     "build_matrix_report",
     "serialize_report",
     "parse_report",
+    "emit",
+    "fmt_float",
     "write_contours_csv",
     "portrait_svg",
     "compare_svg",
@@ -34,44 +37,14 @@ TOOLKIT_NAME = "specto"
 DEFAULT_STABILITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SpectralReport:
-    """Per-matrix spectral bundle (kreiss bound only when a field was computed)."""
-
-    eigenvalues: np.ndarray
-    spectral_radius: float
-    spectral_norm: float
-    henrici: float
-    schur_departure: float
-    kreiss_lower_bound: float | None = None
-
-
-def build_spectral_report(
-    w: Matrix,
-    pfield: PseudospectrumField | None = None,
-    eps_list=None,
-) -> SpectralReport:
-    evs = eigenvalues(w)
-    nn = nonnormality_report(w)
-    kreiss = None
-    if pfield is not None and eps_list is not None:
-        kreiss = kreiss_lower_bound(pfield, eps_list)
-    return SpectralReport(
-        eigenvalues=evs,
-        spectral_radius=float(np.abs(evs).max()),
-        spectral_norm=two_norm(w),
-        henrici=nn.henrici,
-        schur_departure=nn.schur_departure,
-        kreiss_lower_bound=kreiss,
-    )
-
-
 @dataclass
 class MatrixReport:
+    """Per-matrix metrics; the field-dependent entries are None without a field."""
+
     name: str
     rows: int
     cols: int
-    eigenvalues: list  # [re, im] pairs
+    eigenvalues: list[list[float]]  # [re, im] pairs
     spectral_radius: float
     spectral_norm: float
     henrici: float
@@ -80,17 +53,17 @@ class MatrixReport:
     stability_tol: float
     kreiss_lower_bound: float | None = None
     grid: GridSpec | None = None
-    eps_levels: list | None = None
-    contour_counts: list | None = None
+    eps_levels: list[float] | None = None
+    contour_counts: list[int] | None = None
     wall_time_s: float | None = None
 
 
-@dataclass
+@dataclass(kw_only=True)  # keyword-only so the defaulted toolkit can lead the keys
 class AnalysisReport:
+    toolkit: str = TOOLKIT_NAME
     version: str
     config: dict = field(default_factory=dict)
-    matrices: list = field(default_factory=list)
-    toolkit: str = TOOLKIT_NAME
+    matrices: list[MatrixReport] = field(default_factory=list)
 
 
 def build_matrix_report(
@@ -102,19 +75,24 @@ def build_matrix_report(
     stability_tol: float = DEFAULT_STABILITY_TOL,
     wall_time_s: float | None = None,
 ) -> MatrixReport:
-    spec = build_spectral_report(w, pfield, eps_list)
+    evs = eigenvalues(w)
+    nn = nonnormality_report(w)
+    rho = float(np.abs(evs).max())
+    kreiss = None
+    if pfield is not None and eps_list is not None:
+        kreiss = kreiss_lower_bound(pfield, eps_list)
     return MatrixReport(
         name=name,
         rows=w.rows,
         cols=w.cols,
-        eigenvalues=[[float(z.real), float(z.imag)] for z in spec.eigenvalues],
-        spectral_radius=spec.spectral_radius,
-        spectral_norm=spec.spectral_norm,
-        henrici=spec.henrici,
-        schur_departure=spec.schur_departure,
-        stable=spec.spectral_radius <= 1.0 + stability_tol,
+        eigenvalues=[[float(z.real), float(z.imag)] for z in evs],
+        spectral_radius=rho,
+        spectral_norm=two_norm(w),
+        henrici=nn.henrici,
+        schur_departure=nn.schur_departure,
+        stable=rho <= 1.0 + stability_tol,
         stability_tol=stability_tol,
-        kreiss_lower_bound=spec.kreiss_lower_bound,
+        kreiss_lower_bound=kreiss,
         grid=pfield.grid if pfield is not None else None,
         eps_levels=[float(e) for e in eps_list] if eps_list is not None else None,
         contour_counts=[len(group) for group in contours.polylines] if contours else None,
@@ -127,13 +105,15 @@ def build_matrix_report(
 # ---------------------------------------------------------------------------
 
 
-def _fmt_float(x: float) -> str:
+def fmt_float(x: float) -> str:
+    """17 significant digits: round-trips every finite double exactly."""
     if not np.isfinite(x):
         raise ValueError("reports must not contain non-finite numbers")
     return format(float(x), ".17g")
 
 
-def _emit(obj, indent: int) -> str:
+def emit(obj, indent: int) -> str:
+    """Deterministic JSON text of nested dicts/lists/scalars, floats via fmt_float."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -143,111 +123,51 @@ def _emit(obj, indent: int) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
+        return fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join(inner + _emit(v, indent + 1) for v in obj)
+        items = ",\n".join(inner + emit(v, indent + 1) for v in obj)
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {_emit(v, indent + 1)}" for k, v in obj.items()
+            f"{inner}{json.dumps(str(k))}: {emit(v, indent + 1)}" for k, v in obj.items()
         )
         return "{\n" + items + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _grid_to_dict(g: GridSpec) -> dict:
-    return {
-        "re_min": g.re_min,
-        "re_max": g.re_max,
-        "im_min": g.im_min,
-        "im_max": g.im_max,
-        "nx": g.nx,
-        "ny": g.ny,
-    }
-
-
-def _matrix_report_to_dict(m: MatrixReport) -> dict:
-    return {
-        "name": m.name,
-        "rows": m.rows,
-        "cols": m.cols,
-        "eigenvalues": m.eigenvalues,
-        "spectral_radius": m.spectral_radius,
-        "spectral_norm": m.spectral_norm,
-        "henrici": m.henrici,
-        "schur_departure": m.schur_departure,
-        "stable": m.stable,
-        "stability_tol": m.stability_tol,
-        "kreiss_lower_bound": m.kreiss_lower_bound,
-        "grid": _grid_to_dict(m.grid) if m.grid is not None else None,
-        "eps_levels": m.eps_levels,
-        "contour_counts": m.contour_counts,
-        "wall_time_s": m.wall_time_s,
-    }
-
-
 def serialize_report(report: AnalysisReport) -> str:
-    doc = {
-        "toolkit": report.toolkit,
-        "version": report.version,
-        "config": report.config,
-        "matrices": [_matrix_report_to_dict(m) for m in report.matrices],
-    }
-    return _emit(doc, 0) + "\n"
+    return emit(asdict(report), 0) + "\n"
 
 
-def _opt_float(x):
-    return None if x is None else float(x)
+def _from_json(tp, value):
+    """Rebuild a value of the declared type ``tp`` from its parsed JSON.
+
+    Integral floats are written without a decimal point (``1``), so JSON
+    numbers are coerced by the declared type rather than by their text.
+    """
+    if value is None:
+        return None
+    args = [a for a in get_args(tp) if a is not type(None)]
+    if get_origin(tp) is list:
+        return [_from_json(args[0], v) for v in value]
+    if args:  # X | None
+        return _from_json(args[0], value)
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        return tp(**{f.name: _from_json(hints[f.name], value[f.name]) for f in fields(tp)})
+    return float(value) if tp is float else value
 
 
 def parse_report(text: str) -> AnalysisReport:
-    doc = json.loads(text)
-    matrices = []
-    for m in doc["matrices"]:
-        grid = None
-        if m["grid"] is not None:
-            g = m["grid"]
-            grid = GridSpec(
-                re_min=float(g["re_min"]),
-                re_max=float(g["re_max"]),
-                im_min=float(g["im_min"]),
-                im_max=float(g["im_max"]),
-                nx=int(g["nx"]),
-                ny=int(g["ny"]),
-            )
-        matrices.append(
-            MatrixReport(
-                name=m["name"],
-                rows=int(m["rows"]),
-                cols=int(m["cols"]),
-                eigenvalues=[[float(re), float(im)] for re, im in m["eigenvalues"]],
-                spectral_radius=float(m["spectral_radius"]),
-                spectral_norm=float(m["spectral_norm"]),
-                henrici=float(m["henrici"]),
-                schur_departure=float(m["schur_departure"]),
-                stable=bool(m["stable"]),
-                stability_tol=float(m["stability_tol"]),
-                kreiss_lower_bound=_opt_float(m["kreiss_lower_bound"]),
-                grid=grid,
-                eps_levels=None if m["eps_levels"] is None else [float(e) for e in m["eps_levels"]],
-                contour_counts=None
-                if m["contour_counts"] is None
-                else [int(c) for c in m["contour_counts"]],
-                wall_time_s=_opt_float(m["wall_time_s"]),
-            )
-        )
-    return AnalysisReport(
-        toolkit=doc["toolkit"],
-        version=doc["version"],
-        config=doc["config"],
-        matrices=matrices,
-    )
+    # fmt_float writes -0.0 as "-0", the one integer literal that must stay a float
+    doc = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+    return _from_json(AnalysisReport, doc)
 
 
 def write_contours_csv(path, contours: ContourSet) -> None:
@@ -257,7 +177,7 @@ def write_contours_csv(path, contours: ContourSet) -> None:
         for pid, poly in enumerate(group):
             for z in poly:
                 lines.append(
-                    f"{_fmt_float(level)},{pid},{_fmt_float(z.real)},{_fmt_float(z.imag)}"
+                    f"{fmt_float(level)},{pid},{fmt_float(z.real)},{fmt_float(z.imag)}"
                 )
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")

@@ -97,16 +97,6 @@ def param_items(cell: CellParams) -> list[tuple[str, np.ndarray]]:
     return items
 
 
-def set_param(cell: CellParams, name: str, value: np.ndarray) -> None:
-    if name == "w_out":
-        cell.w_out = value
-    elif name == "b_out":
-        cell.b_out = value
-    else:
-        table, gate = name.split(".")
-        getattr(cell, table)[gate] = value
-
-
 def init_cell(
     kind: str,
     input_dim: int,

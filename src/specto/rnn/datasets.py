@@ -73,6 +73,8 @@ def generate_adding(n: int, seq_len: int, seed: int = 0) -> Dataset:
 
 def adding_splits(n_train: int, n_test: int, seq_len: int, seed: int = 0) -> tuple[Dataset, Dataset]:
     """Train/test split drawn from one stream (paper-scale: 45000/5000)."""
+    if n_train < 1 or n_test < 1:
+        raise ValueError(f"train and test sizes must be positive, got {n_train} and {n_test}")
     full = generate_adding(n_train + n_test, seq_len, seed)
     return (
         Dataset(full.inputs[:n_train], full.targets[:n_train], "adding"),

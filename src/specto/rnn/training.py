@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import TrainingDiverged
 from ..matrix import Matrix
-from ..report import SpectralReport, build_spectral_report
+from ..report import MatrixReport, build_matrix_report
 from ..stabilizer import StabilizerConfig, stabilize
 from .cells import (
     CellParams,
@@ -68,7 +68,7 @@ class EpochRecord:
     epoch: int
     loss: float
     accuracy: float
-    gate_reports: dict[str, SpectralReport]
+    gate_reports: dict[str, MatrixReport]  # keyed by gate, named <kind>-<gate>
 
 
 def _clip_grads(grads: dict[str, np.ndarray], clip: float) -> None:
@@ -132,7 +132,9 @@ def train(
         if cfg.stabilize_each_epoch:
             _stabilize_gates(cell, cfg.stabilizer, epoch)
         acc = accuracy(cell, measure_on, cfg.task, cfg.accuracy_tolerance)
-        reports = {g: build_spectral_report(Matrix(cell.w_rec[g])) for g in cell.gates}
+        reports = {
+            g: build_matrix_report(f"{cfg.kind}-{g}", Matrix(cell.w_rec[g])) for g in cell.gates
+        }
         record = EpochRecord(epoch=epoch, loss=loss_sum / n, accuracy=acc, gate_reports=reports)
         history.append(record)
         if on_epoch is not None:

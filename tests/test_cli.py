@@ -1,7 +1,17 @@
+import struct
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from specto import Matrix, MatrixContainer, parse_report, read_matrix_file, write_matrix_file
+from specto import (
+    Matrix,
+    MatrixContainer,
+    parse_report,
+    read_matrix_file,
+    serialize_report,
+    write_matrix_file,
+)
 from specto.cli import main
 
 
@@ -81,6 +91,37 @@ class TestAnalyze:
         names = [m.name for m in parse_report((out / "report.json").read_text()).matrices]
         assert names == ["ident", "ident-2"]
 
+    def test_nan_in_csv_exit_3(self, tmp_path, capsys):
+        p = tmp_path / "nan.csv"
+        p.write_text("1,0\n0,nan\n")
+        assert run(["analyze", p, "--out", tmp_path / "o"]) == 3
+        err = capsys.readouterr().err
+        assert "input error" in err and "nan.csv" in err and "line 2" in err
+
+    def test_inf_in_container_exit_3(self, tmp_path, capsys):
+        p = tmp_path / "inf.pspc"
+        payload = np.array([1.0, 0.0, np.inf, 1.0], dtype="<f8").tobytes()
+        p.write_bytes(b"PSPC" + struct.pack("<HHII", 1, 0, 2, 2) + payload)
+        assert run(["analyze", p, "--out", tmp_path / "o"]) == 3
+        err = capsys.readouterr().err
+        assert "input error" in err and "inf.pspc" in err and "offset 32" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_entries_analyzed(self, tmp_path):
+        p = tmp_path / "big.csv"
+        p.write_text("1e200,2e200\n0,1e200\n")
+        out = tmp_path / "o"
+        assert run(["analyze", p, "--out", out, "--nx", "21", "--ny", "21"]) == 0
+        m = parse_report((out / "report.json").read_text()).matrices[0]
+        assert m.henrici == pytest.approx(np.sqrt(8) / 3, abs=1e-12)
+        assert m.schur_departure == pytest.approx(2e200, rel=1e-12)
+
+    def test_reports_round_trip_as_text(self, tmp_path, identity_csv, jordan_file):
+        out = tmp_path / "o"
+        assert run(["analyze", identity_csv, jordan_file, "--out", out, "--nx", "21", "--ny", "21"]) == 0
+        text = (out / "report.json").read_text()
+        assert serialize_report(parse_report(text)) == text
+
     def test_timing_flag_controls_wall_time(self, tmp_path, identity_csv):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         run(["analyze", identity_csv, "--out", out1, "--nx", "21", "--ny", "21"])
@@ -114,6 +155,13 @@ class TestStabilize:
         run(["stabilize", src, a, "--seed", "3"])
         run(["stabilize", src, b, "--seed", "3"])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_nameless_container_named_after_file(self, tmp_path, capsys):
+        src = tmp_path / "w.pspc"
+        write_matrix_file(src, Matrix([[2.0, 0.0], [0.0, 1.0]]))
+        dst = tmp_path / "out.pspc"
+        assert run(["stabilize", src, dst]) == 0
+        assert read_matrix_file(dst).name == "w"
 
     def test_zero_matrix_exit_2(self, tmp_path, capsys):
         src = tmp_path / "z.csv"
@@ -171,8 +219,23 @@ class TestTrain:
             assert (out / f"weights-final-{gate}.pspc").exists()
             assert (out / f"weights-epoch001-{gate}.pspc").exists()
             assert (out / f"weights-epoch002-{gate}.pspc").exists()
-        assert (out / "report-epoch001.json").exists()
         assert "final accuracy" in capsys.readouterr().out
+        last = history[2].split(",")
+        for epoch in (1, 2):
+            text = (out / f"report-epoch{epoch:03d}.json").read_text()
+            assert serialize_report(parse_report(text)) == text
+        # the snapshot serializes the reports the training loop built
+        rep = parse_report(text)
+        assert [m.name for m in rep.matrices] == ["gru-update", "gru-reset", "gru-candidate"]
+        assert [float(v) for v in last[3::2]] == [m.spectral_radius for m in rep.matrices]
+        assert [float(v) for v in last[4::2]] == [m.henrici for m in rep.matrices]
+
+    @pytest.mark.parametrize("flag", ["--train-size", "--test-size"])
+    def test_empty_split_exit_2(self, tmp_path, capsys, flag):
+        code = run(["train", "--task", "adding", "--out", tmp_path / "o", "--epochs", "1", flag, "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and "sizes must be positive" in err
 
     def test_lr_zero_flat_history(self, tmp_path):
         out = tmp_path / "flat"
@@ -243,3 +306,47 @@ class TestDeterminism:
             }
             blobs.append(blob)
         assert blobs[0] == blobs[1]
+
+
+class TestFactorizationCounts:
+    """Each matrix is Schur-factorized and SVD'd at most once per instance."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"schur": 0, "svd": 0, "eigvals": 0}
+        schur, svd, eigvals = scipy.linalg.schur, np.linalg.svd, np.linalg.eigvals
+
+        def counting_schur(*args, **kwargs):
+            calls["schur"] += 1
+            return schur(*args, **kwargs)
+
+        def counting_svd(a, *args, **kwargs):
+            if np.ndim(a) == 2:  # the batched 3-D field kernel is not a factorization of W
+                calls["svd"] += 1
+            return svd(a, *args, **kwargs)
+
+        def counting_eigvals(*args, **kwargs):
+            calls["eigvals"] += 1
+            return eigvals(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        return calls
+
+    @pytest.mark.parametrize("method", ["svd", "schur"])
+    def test_analyze_one_matrix(self, tmp_path, rng, calls, method):
+        p = tmp_path / "w.csv"
+        np.savetxt(p, rng.standard_normal((8, 8)), delimiter=",")
+        argv = ["analyze", p, "--out", tmp_path / "o", "--nx", "11", "--ny", "11", "--method", method]
+        assert run(argv) == 0
+        assert calls == {"schur": 1, "svd": 1, "eigvals": 0}
+
+    def test_train_two_gru_epochs(self, tmp_path, calls):
+        code = run(
+            ["train", "--task", "adding", "--kind", "gru", "--out", tmp_path / "run",
+             "--hidden", "4", "--epochs", "2", "--train-size", "32", "--test-size", "8",
+             "--seq-len", "4", "--seed", "0"]
+        )
+        assert code == 0
+        assert calls == {"schur": 6, "svd": 6, "eigvals": 0}

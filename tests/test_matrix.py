@@ -157,7 +157,7 @@ class TestSchur:
         assert np.linalg.norm(f.q.array.conj().T @ f.q.array - np.eye(n)) <= 1e-10
         assert not np.tril(f.t.array, -1).any()
         assert not np.diag(f.n_strict.array).any()
-        assert_multiset_close(f.eigenvalues, eigenvalues(m), tol=1e-8 * scale)
+        assert_multiset_close(f.eigenvalues, np.linalg.eigvals(m.array), tol=1e-8 * scale)
         return f
 
     def test_already_triangular(self):
@@ -175,6 +175,21 @@ class TestSchur:
     def test_requires_square(self):
         with pytest.raises(ValueError, match="square"):
             schur(Matrix.zeros(3, 2))
+
+
+class TestFactorizationCache:
+    def test_factorized_once_per_instance(self, rng):
+        m = random_matrix(rng, 4)
+        assert schur(m) is schur(m)
+        assert eigenvalues(m) is schur(m).eigenvalues
+        assert singular_values(m) is singular_values(m)
+
+    def test_cached_arrays_are_read_only(self, rng):
+        m = random_matrix(rng, 4)
+        for arr in (eigenvalues(m), singular_values(m), schur(m).t.array, schur(m).q.array):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestNormalMatrixNormEqualsRadius:

@@ -114,3 +114,33 @@ class TestReport:
         assert rep.is_normal
         assert rep.henrici <= 1e-10
         assert rep.schur_departure <= 1e-10 * max(1.0, rep.commutator_norm)
+
+
+class TestOverflowSafety:
+    BIG = Matrix([[1e200, 2e200], [0.0, 1e200]])
+
+    def test_henrici_of_huge_entries(self):
+        assert henrici_number(self.BIG) == pytest.approx(
+            henrici_number(Matrix([[1.0, 2.0], [0.0, 1.0]])), abs=1e-12
+        )
+
+    def test_departure_of_huge_entries(self):
+        _, dep = schur_departure(self.BIG)
+        assert dep == pytest.approx(2e200, rel=1e-12)
+
+    def test_report_finite_where_representable(self):
+        rep = nonnormality_report(self.BIG)
+        assert np.isfinite(rep.henrici) and np.isfinite(rep.schur_departure)
+        assert not rep.is_normal
+        assert rep.commutator_norm == np.inf  # ~5.7e400 is past the float range
+
+    def test_power_of_two_scaling_is_exact(self, rng):
+        m = random_matrix(rng, 6)
+        a = m.array
+        comm = np.linalg.norm(a @ a.conj().T - a.conj().T @ a)
+        assert henrici_number(m) == comm / np.linalg.norm(a) ** 2
+        assert commutator_norm(m) == comm
+
+    def test_tiny_entries_normality_threshold(self):
+        assert is_normal(Matrix([[1e-200, 1e-200], [0.0, 0.0]]))
+        assert not is_normal(Matrix([[1e200, 1e200], [0.0, 0.0]]))

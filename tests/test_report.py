@@ -10,7 +10,6 @@ from specto import (
     Matrix,
     auto_grid,
     build_matrix_report,
-    build_spectral_report,
     compare_svg,
     compute_field,
     extract_contours,
@@ -59,6 +58,33 @@ class TestRoundTrip:
             back = parse_report(serialize_report(rep))
             assert back.matrices[0].henrici == float(v)
 
+    def test_negative_zero_and_integral_floats_round_trip_as_text(self):
+        m = build_matrix_report("x", Matrix.identity(2))
+        m.henrici = -0.0
+        m.schur_departure = 1.0
+        m.eigenvalues = [[1.0, -0.0], [-2.0, 0.0]]
+        m.wall_time_s = 3.0
+        text = serialize_report(AnalysisReport(version="0", config={"pad": -0.0}, matrices=[m]))
+        assert '"henrici": -0,' in text and '"schur_departure": 1,' in text
+        back = parse_report(text)
+        assert serialize_report(back) == text
+        got = back.matrices[0]
+        assert np.signbit(got.henrici) and np.signbit(got.eigenvalues[0][1])
+        assert type(got.schur_departure) is float and type(got.wall_time_s) is float
+        assert all(type(v) is float for pair in got.eigenvalues for v in pair)
+        assert type(got.rows) is int
+
+    def test_keys_are_the_dataclass_fields(self, rng):
+        import dataclasses
+        import json
+
+        from specto import MatrixReport
+
+        doc = json.loads(serialize_report(analysis_fixture(rng)))
+        assert list(doc) == ["toolkit", "version", "config", "matrices"]
+        assert list(doc["matrices"][0]) == [f.name for f in dataclasses.fields(MatrixReport)]
+        assert list(doc["matrices"][0]["grid"]) == ["re_min", "re_max", "im_min", "im_max", "nx", "ny"]
+
     def test_non_finite_rejected(self):
         m = build_matrix_report("x", Matrix.identity(2))
         m.henrici = np.inf
@@ -78,15 +104,15 @@ class TestSpectralReport:
         assert not rep2.stable
 
     def test_kreiss_requires_field(self, rng):
-        spec = build_spectral_report(random_matrix(rng, 3))
-        assert spec.kreiss_lower_bound is None
+        rep = build_matrix_report("k", random_matrix(rng, 3))
+        assert rep.kreiss_lower_bound is None
 
     def test_henrici_matches_module(self, rng):
         from specto import henrici_number
 
         w = random_matrix(rng, 5)
-        spec = build_spectral_report(w)
-        assert spec.henrici == pytest.approx(henrici_number(w), rel=1e-12)
+        rep = build_matrix_report("h", w)
+        assert rep.henrici == pytest.approx(henrici_number(w), rel=1e-12)
 
 
 class TestContourCsv:
