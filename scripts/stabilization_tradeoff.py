@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from specto import (
-    GridSpec,
     Matrix,
     StabilizerConfig,
     auto_grid,
@@ -64,10 +63,7 @@ def main():
         print(f"{tag:<14}{spectral_radius(m):>10.4f}{two_norm(m):>10.4f}{henrici_number(m):>10.4f}")
 
     eps = list(DEFAULT_EPS_LEVELS)
-    ga = auto_grid(w, pad=0.5, nx=args.nx, ny=args.nx)
-    gb = auto_grid(w_s, pad=0.5, nx=args.nx, ny=args.nx)
-    grid = GridSpec(min(ga.re_min, gb.re_min), max(ga.re_max, gb.re_max),
-                    min(ga.im_min, gb.im_min), max(ga.im_max, gb.im_max), args.nx, args.nx)
+    grid = auto_grid(w, w_s, pad=0.5, nx=args.nx, ny=args.nx)
     fields = [compute_field(m, grid) for m in (w, w_s)]
     contours = [extract_contours(f, eps) for f in fields]
 

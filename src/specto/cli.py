@@ -39,7 +39,7 @@ from .report import (
     serialize_report,
     write_contours_csv,
 )
-from .rnn import TrainConfig, adding_splits, load_mnist_idx, train
+from .rnn import Dataset, TrainConfig, adding_splits, load_mnist_idx, train
 from .stabilizer import StabilizerConfig, stabilize
 
 DEFAULT_EPS_LEVELS = tuple(10.0 ** (-3 + 0.5 * k) for k in range(6))
@@ -72,11 +72,11 @@ def _unique_names(names):
     return out
 
 
-def _grid_for(m: Matrix, args) -> GridSpec:
+def _grid_for(args, *ms: Matrix) -> GridSpec:
+    """The --box grid, else the automatic grid shared by all of ``ms``."""
     if args.box is not None:
-        re_min, re_max, im_min, im_max = args.box
-        return GridSpec(re_min, re_max, im_min, im_max, args.nx, args.ny)
-    return auto_grid(m, pad=args.pad, nx=args.nx, ny=args.ny)
+        return GridSpec(*args.box, args.nx, args.ny)
+    return auto_grid(*ms, pad=args.pad, nx=args.nx, ny=args.ny)
 
 
 def _grid_flags(sub):
@@ -92,7 +92,6 @@ def _grid_flags(sub):
     )
     sub.add_argument("--eps", help="comma-separated pseudospectrum levels (default: 6 log-spaced)")
     sub.add_argument("--workers", type=int, help="grid workers (default: SPECTO_THREADS or cpu count)")
-    sub.add_argument("--method", choices=("svd", "schur"), default="svd", help="sigma_min kernel")
 
 
 def cmd_analyze(args) -> int:
@@ -106,8 +105,8 @@ def cmd_analyze(args) -> int:
         if not m.is_square:
             raise FormatError(f"{name}: pseudospectrum analysis needs a square matrix, got {m.shape}")
         t0 = time.perf_counter()
-        grid = _grid_for(m, args)
-        field = compute_field(m, grid, workers=args.workers, method=args.method)
+        grid = _grid_for(args, m)
+        field = compute_field(m, grid, workers=args.workers)
         contours = extract_contours(field, eps)
         wall = time.perf_counter() - t0 if args.timing else None
         rep = build_matrix_report(
@@ -130,7 +129,6 @@ def cmd_analyze(args) -> int:
         "nx": args.nx,
         "ny": args.ny,
         "eps_levels": eps,
-        "method": args.method,
         "stability_tol": args.stability_tol,
         "inputs": names,
     }
@@ -158,22 +156,8 @@ def cmd_compare(args) -> int:
             f"dimension mismatch: {before_name} is {before.shape}, {after_name} is {after.shape}"
         )
     before_name, after_name = _unique_names([f"before-{before_name}", f"after-{after_name}"])
-    if args.box is not None:
-        re_min, re_max, im_min, im_max = args.box
-        grid = GridSpec(re_min, re_max, im_min, im_max, args.nx, args.ny)
-    else:
-        ga, gb = _grid_for(before, args), _grid_for(after, args)
-        grid = GridSpec(
-            min(ga.re_min, gb.re_min),
-            max(ga.re_max, gb.re_max),
-            min(ga.im_min, gb.im_min),
-            max(ga.im_max, gb.im_max),
-            args.nx,
-            args.ny,
-        )
-    fields = [
-        compute_field(m, grid, workers=args.workers, method=args.method) for m in (before, after)
-    ]
+    grid = _grid_for(args, before, after)
+    fields = [compute_field(m, grid, workers=args.workers) for m in (before, after)]
     contours = [extract_contours(f, eps) for f in fields]
     reports = [
         build_matrix_report(n, m, f, eps, c, stability_tol=args.stability_tol)
@@ -222,7 +206,6 @@ def _history_csv(history, gates) -> str:
 def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stab = StabilizerConfig(m=args.stabilize, seed=args.seed) if args.stabilize else StabilizerConfig(seed=args.seed)
     cfg = TrainConfig(
         task=args.task,
         kind=args.kind,
@@ -232,8 +215,7 @@ def cmd_train(args) -> int:
         learning_rate=args.lr,
         seed=args.seed,
         grad_clip=args.clip if args.clip > 0 else None,
-        stabilize_each_epoch=args.stabilize is not None,
-        stabilizer=stab,
+        stabilizer=None if args.stabilize is None else StabilizerConfig(m=args.stabilize, seed=args.seed),
         seq_len=args.seq_len,
         memory_bias=args.memory_bias,
         target_accuracy=args.target_accuracy,
@@ -244,20 +226,19 @@ def cmd_train(args) -> int:
         needed = (args.mnist_images, args.mnist_labels)
         if any(p is None for p in needed):
             raise ValueError("--task mnist requires --mnist-images and --mnist-labels")
+        if args.train_size < 1 or args.test_size < 1:
+            raise ValueError(f"train and test sizes must be positive, got {args.train_size} and {args.test_size}")
         full = load_mnist_idx(args.mnist_images, args.mnist_labels)
         if args.mnist_test_images and args.mnist_test_labels:
-            eval_ds = load_mnist_idx(args.mnist_test_images, args.mnist_test_labels)
-            train_ds = full.subset(args.train_size) if args.train_size else full
-            if args.test_size:
-                eval_ds = eval_ds.subset(args.test_size)
-        else:
-            n_train = args.train_size or (len(full) - (args.test_size or len(full) // 6))
-            train_ds = full.subset(n_train)
-            from .rnn import Dataset
-
-            eval_ds = Dataset(full.inputs[n_train:], full.targets[n_train:], full.task)
-            if args.test_size:
-                eval_ds = eval_ds.subset(args.test_size)
+            held_out = load_mnist_idx(args.mnist_test_images, args.mnist_test_labels)
+        else:  # evaluate on the images the training split leaves over
+            held_out = Dataset(full.inputs[args.train_size :], full.targets[args.train_size :], full.task)
+        train_ds, eval_ds = full.subset(args.train_size), held_out.subset(args.test_size)
+        if len(train_ds) == 0 or len(eval_ds) == 0:
+            raise ValueError(
+                f"--train-size {args.train_size} and --test-size {args.test_size} leave "
+                f"{len(train_ds)} training and {len(eval_ds)} evaluation images"
+            )
 
     def snapshot(epoch, cell, record):
         print(

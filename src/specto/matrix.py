@@ -187,6 +187,8 @@ def schur(m: Matrix) -> SchurFactors:
             t, q = scipy.linalg.schur(m.array, output="complex")
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"Schur decomposition failed: {exc}") from exc
+        if not (np.isfinite(t).all() and np.isfinite(q).all()):
+            raise NumericalError("Schur form overflowed: eigenvalues past the float range")
         t = np.triu(t)  # LAPACK already zeros the lower part; make it structural
         evs = np.diag(t).copy()
         evs.setflags(write=False)

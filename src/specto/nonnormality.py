@@ -50,7 +50,10 @@ def _normalized(a: np.ndarray) -> tuple[np.ndarray, float]:
     if peak == 0.0:
         return a, 1.0
     s = math.ldexp(1.0, math.frexp(peak)[1] - 1)
-    return a / s, s
+    # parts divided apart: complex division by s would multiply by 1/s, which overflows for subnormal s
+    v = np.empty_like(a)
+    v.real, v.imag = a.real / s, a.imag / s
+    return v, s
 
 
 def _commutator_parts(w: Matrix, op: str) -> tuple[float, float, float]:

@@ -15,16 +15,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .matrix import (
-    Matrix,
-    eigenvalues,
-    mat_power_norms,
-    schur,
-    spectral_radius,
-    two_norm,
-)
+from .errors import NumericalError
+from .matrix import Matrix, eigenvalues, mat_power_norms, spectral_radius, two_norm
 
 __all__ = [
     "GridSpec",
@@ -75,6 +68,9 @@ class GridSpec:
     def __post_init__(self):
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("grid bounds must satisfy re_min < re_max, im_min < im_max")
+        # a finite width implies finite bounds, and keeps every linspace node finite
+        if not (math.isfinite(self.re_max - self.re_min) and math.isfinite(self.im_max - self.im_min)):
+            raise ValueError("grid bounds and axis widths must be finite")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
 
@@ -145,8 +141,15 @@ def _sigma_min_stack(a: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Smallest singular value of (a - lam*I) for every lam in the batch."""
     n = a.shape[0]
     eye = np.eye(n, dtype=np.complex128)
-    shifted = a[None, :, :] - lams[:, None, None] * eye[None, :, :]
-    return np.linalg.svd(shifted, compute_uv=False)[:, -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = a[None, :, :] - lams[:, None, None] * eye[None, :, :]
+        try:
+            sigma = np.linalg.svd(shifted, compute_uv=False)[:, -1]
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"SVD did not converge: {exc}") from exc
+    if not np.isfinite(sigma).all():
+        raise NumericalError("sigma_min overflowed: W - lambda*I has entries past the float range")
+    return sigma
 
 
 def sigma_min_at(w: Matrix, lam: complex) -> float:
@@ -156,95 +159,24 @@ def sigma_min_at(w: Matrix, lam: complex) -> float:
     return float(_sigma_min_stack(w.array, np.array([lam], dtype=np.complex128))[0])
 
 
-def _sigma_min_triangular(t: np.ndarray, lam: complex, max_iter: int = 60, rtol: float = 1e-9) -> float:
-    """sigma_min(T - lam*I) for upper triangular T via inverse Lanczos.
-
-    Lanczos on (R* R)^-1 with R = T - lam*I, two triangular solves per
-    step and full reorthogonalization; handles clustered smallest singular
-    values where plain inverse iteration stagnates. A zero on the shifted
-    diagonal means lam is an exact eigenvalue, so sigma_min is 0.
-    """
-    n = t.shape[0]
-    r = t.copy()
-    idx = np.arange(n)
-    r[idx, idx] -= lam
-    if np.abs(r[idx, idx]).min() == 0.0:
-        return 0.0
-
-    def apply_inv_gram(x):
-        y = scipy.linalg.solve_triangular(r, x, lower=False, trans="C")
-        return scipy.linalg.solve_triangular(r, y, lower=False)
-
-    steps = min(n, max_iter)
-    basis = np.zeros((steps, n), dtype=np.complex128)
-    basis[0] = 1.0 / math.sqrt(n)
-    alphas: list[float] = []
-    betas: list[float] = []
-    est = 0.0
-    for k in range(steps):
-        v = apply_inv_gram(basis[k])
-        if not np.isfinite(v).all():
-            return 0.0  # resolvent blew up: lam is numerically an eigenvalue
-        alphas.append(float(np.real(np.vdot(basis[k], v))))
-        # full reorthogonalization keeps the small Krylov basis clean
-        v -= basis[: k + 1].T @ (basis[: k + 1].conj() @ v)
-        v -= basis[: k + 1].T @ (basis[: k + 1].conj() @ v)
-        theta = scipy.linalg.eigh_tridiagonal(
-            np.array(alphas), np.array(betas), select="i", select_range=(k, k)
-        )[0][0]
-        new_est = 1.0 / math.sqrt(theta) if theta > 0 else 0.0
-        done = abs(new_est - est) <= rtol * max(new_est, 1e-300)
-        est = new_est
-        if done or k + 1 == steps:
-            break
-        beta = float(np.linalg.norm(v))
-        if beta == 0.0:
-            break  # Krylov space exhausted: estimate is exact
-        betas.append(beta)
-        basis[k + 1] = v / beta
-    return est
-
-
-def compute_field(
-    w: Matrix,
-    grid: GridSpec,
-    *,
-    workers: int | None = None,
-    method: str = "svd",
-) -> PseudospectrumField:
+def compute_field(w: Matrix, grid: GridSpec, *, workers: int | None = None) -> PseudospectrumField:
     """Evaluate sigma_min(W - lambda*I) at every grid node.
 
-    ``method="svd"`` (baseline) runs a full SVD per node, batched through
-    LAPACK. ``method="schur"`` reuses W's cached Schur form and runs inverse
-    iteration on the shifted triangle at each node; values agree with the
-    baseline to ~1e-6 relative. Node evaluations are independent, so the
-    work may fan out to threads; chunk boundaries are fixed, which makes
-    the result bitwise identical for every worker count.
+    Runs a full SVD per node, batched through LAPACK. Node evaluations are
+    independent, so the work may fan out to threads; chunk boundaries are
+    fixed, which makes the result bitwise identical for every worker count.
     """
     if not w.is_square:
         raise ValueError(f"compute_field requires a square matrix, got {w.shape}")
-    if method not in ("svd", "schur"):
-        raise ValueError(f"unknown method {method!r}")
-    n = w.rows
+    a = w.array
     lams = np.ascontiguousarray(grid.nodes().reshape(-1))
     out = np.empty(lams.size)
-    chunk = max(1, _CHUNK_SCALARS // (n * n))
+    chunk = max(1, _CHUNK_SCALARS // (w.rows * w.rows))
     spans = [(s, min(s + chunk, lams.size)) for s in range(0, lams.size, chunk)]
 
-    if method == "svd":
-        a = w.array
-
-        def run(span):
-            lo, hi = span
-            out[lo:hi] = _sigma_min_stack(a, lams[lo:hi])
-
-    else:
-        t = schur(w).t.array
-
-        def run(span):
-            lo, hi = span
-            for k in range(lo, hi):
-                out[k] = _sigma_min_triangular(t, lams[k])
+    def run(span):
+        lo, hi = span
+        out[lo:hi] = _sigma_min_stack(a, lams[lo:hi])
 
     nworkers = resolve_workers(workers)
     if nworkers == 1 or len(spans) == 1:
@@ -260,28 +192,33 @@ def compute_field(
 
 
 def auto_grid(
-    w: Matrix,
+    *ws: Matrix,
     pad: float = DEFAULT_GRID_PAD,
     nx: int = DEFAULT_GRID_NODES,
     ny: int = DEFAULT_GRID_NODES,
 ) -> GridSpec:
-    """Bounding box of the spectrum and the closed unit disk, padded.
+    """Bounding box of the spectra of ``ws`` and the closed unit disk, padded.
 
     The unit disk is always included so portraits show the stability
     boundary of the discrete dynamics regardless of where the eigenvalues
-    sit.
+    sit. With several matrices the box is their shared grid: it equals the
+    union of the boxes of each matrix on its own.
     """
-    if pad < 0:
-        raise ValueError("pad must be nonnegative")
-    evs = eigenvalues(w)
-    return GridSpec(
-        re_min=min(evs.real.min(), -1.0) - pad,
-        re_max=max(evs.real.max(), 1.0) + pad,
-        im_min=min(evs.imag.min(), -1.0) - pad,
-        im_max=max(evs.imag.max(), 1.0) + pad,
-        nx=nx,
-        ny=ny,
-    )
+    if not ws:
+        raise ValueError("auto_grid needs at least one matrix")
+    if not (pad >= 0 and math.isfinite(pad)):
+        raise ValueError("pad must be finite and nonnegative")
+    evs = np.concatenate([eigenvalues(w) for w in ws])
+    re_min = min(float(evs.real.min()), -1.0) - pad
+    re_max = max(float(evs.real.max()), 1.0) + pad
+    im_min = min(float(evs.imag.min()), -1.0) - pad
+    im_max = max(float(evs.imag.max()), 1.0) + pad
+    if not (math.isfinite(re_max - re_min) and math.isfinite(im_max - im_min)):
+        raise NumericalError(
+            f"spectrum spans [{re_min:.6g}, {re_max:.6g}] x [{im_min:.6g}, {im_max:.6g}], "
+            "too wide for a finite grid"
+        )
+    return GridSpec(re_min, re_max, im_min, im_max, nx, ny)
 
 
 # ---------------------------------------------------------------------------

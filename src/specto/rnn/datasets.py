@@ -25,8 +25,6 @@ __all__ = [
     "write_idx_images",
     "write_idx_labels",
     "synthetic_digits",
-    "save_dataset",
-    "load_dataset",
 ]
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -126,51 +124,6 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(struct.pack(">2I", IDX_LABELS_MAGIC, labels.shape[0]))
         f.write(labels.tobytes())
-
-
-# ---------------------------------------------------------------------------
-# Dataset caches: two matrix-container files per dataset. Sequences are
-# flattened to (n, time*dim) with the shape recorded in the name footer.
-# ---------------------------------------------------------------------------
-
-
-def save_dataset(prefix, ds: Dataset) -> tuple[Path, Path]:
-    """Cache a dataset as <prefix>-inputs.pspc / <prefix>-targets.pspc."""
-    from ..containers import MatrixContainer, write_matrix_file
-    from ..matrix import Matrix
-
-    n, steps, dim = ds.inputs.shape
-    ipath = Path(f"{prefix}-inputs.pspc")
-    tpath = Path(f"{prefix}-targets.pspc")
-    write_matrix_file(
-        ipath,
-        MatrixContainer.wrap(Matrix(ds.inputs.reshape(n, steps * dim)), f"{ds.task};time={steps};dim={dim}"),
-    )
-    write_matrix_file(
-        tpath,
-        MatrixContainer.wrap(Matrix(np.asarray(ds.targets, dtype=float).reshape(n, 1)), ds.task),
-    )
-    return ipath, tpath
-
-
-def load_dataset(prefix) -> Dataset:
-    """Read a dataset cached by :func:`save_dataset`."""
-    from ..containers import read_matrix_file
-
-    inputs_c = read_matrix_file(f"{prefix}-inputs.pspc")
-    targets_c = read_matrix_file(f"{prefix}-targets.pspc")
-    name = inputs_c.name or ""
-    try:
-        task, time_part, dim_part = name.split(";")
-        steps = int(time_part.split("=")[1])
-        dim = int(dim_part.split("=")[1])
-    except (ValueError, IndexError):
-        raise FormatError(f"{prefix}-inputs.pspc: name footer {name!r} is not a dataset header") from None
-    flat = inputs_c.matrix.array.real
-    targets = targets_c.matrix.array.real[:, 0]
-    if task == "mnist":
-        targets = targets.astype(np.int64)
-    return Dataset(flat.reshape(flat.shape[0], steps, dim).copy(), targets.copy(), task)
 
 
 # ---------------------------------------------------------------------------

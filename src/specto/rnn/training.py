@@ -9,7 +9,7 @@ gate matrix is replaced by its power-iteration stabilized rescale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,8 +41,7 @@ class TrainConfig:
     learning_rate: float = 0.5
     seed: int = 0
     grad_clip: float | None = 1.0
-    stabilize_each_epoch: bool = False
-    stabilizer: StabilizerConfig = field(default_factory=StabilizerConfig)
+    stabilizer: StabilizerConfig | None = None  # when set, rescale every gate after each epoch
     seq_len: int = 50
     accuracy_tolerance: float = 0.04
     init_scale: float = 1.0
@@ -103,6 +102,8 @@ def train(
         raise ValueError(f"config task {cfg.task!r} does not match data task {train_data.task!r}")
     inputs, targets = train_data.inputs, train_data.targets
     n = inputs.shape[0]
+    if n == 0:
+        raise ValueError("training set is empty")
     output_dim = 1 if cfg.task == "adding" else 10
     rng = np.random.default_rng(cfg.seed)
     cell = init_cell(
@@ -129,7 +130,7 @@ def train(
                 _clip_grads(grads, cfg.grad_clip)
             for name, arr in param_items(cell):
                 arr -= cfg.learning_rate * grads[name]
-        if cfg.stabilize_each_epoch:
+        if cfg.stabilizer is not None:
             _stabilize_gates(cell, cfg.stabilizer, epoch)
         acc = accuracy(cell, measure_on, cfg.task, cfg.accuracy_tolerance)
         reports = {

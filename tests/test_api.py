@@ -38,3 +38,26 @@ def test_every_exported_name_resolves():
             if not hasattr(module, export):
                 missing.append(f"{name}.{export}")
     assert not missing, f"__all__ names that do not resolve: {missing}"
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":  # package modules import to re-export
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.relative_to(SRC)}:{line} imports {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+    assert not unused, "imported names never used:\n" + "\n".join(unused)

@@ -1,8 +1,14 @@
+import io
 import struct
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specto import (
     Matrix,
@@ -13,6 +19,7 @@ from specto import (
     write_matrix_file,
 )
 from specto.cli import main
+from specto.rnn import synthetic_digits, write_idx_images, write_idx_labels
 
 
 def run(argv):
@@ -115,6 +122,18 @@ class TestAnalyze:
         m = parse_report((out / "report.json").read_text()).matrices[0]
         assert m.henrici == pytest.approx(np.sqrt(8) / 3, abs=1e-12)
         assert m.schur_departure == pytest.approx(2e200, rel=1e-12)
+
+    def test_overflowing_spectrum_exit_4(self, tmp_path, capsys):
+        p = tmp_path / "huge.csv"
+        p.write_text("1e308,-1e308\n1e308,1e308\n")  # eigenvalues 1e308 +- 1e308i
+        assert run(["analyze", p, "--out", tmp_path / "o"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("specto: numerical failure:") and err.count("\n") == 1
+
+    def test_infinite_box_exit_2(self, tmp_path, identity_csv, capsys):
+        assert run(["analyze", identity_csv, "--out", tmp_path / "o", "--box", "0", "inf", "0", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("specto: usage error:") and err.count("\n") == 1
 
     def test_reports_round_trip_as_text(self, tmp_path, identity_csv, jordan_file):
         out = tmp_path / "o"
@@ -260,6 +279,12 @@ class TestTrain:
             for rho in (float(row[3]), float(row[5]), float(row[7])):
                 assert rho <= 1.0 + 1e-6
 
+    def test_stabilize_zero_exit_2(self, tmp_path, capsys):
+        code = run(["train", "--task", "adding", "--out", tmp_path / "o", "--stabilize", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("specto: usage error:") and err.count("\n") == 1
+
     def test_mnist_requires_paths(self, tmp_path):
         assert run(["train", "--task", "mnist", "--out", tmp_path / "o"]) == 2
 
@@ -271,6 +296,41 @@ class TestTrain:
             )
             == 3
         )
+
+    @pytest.fixture
+    def digits(self, tmp_path):
+        """12 procedural 8x8 digits as an IDX image/label pair."""
+        images, labels = synthetic_digits(12, seed=0, size=8)
+        write_idx_images(tmp_path / "img.idx", images)
+        write_idx_labels(tmp_path / "lbl.idx", labels)
+        return tmp_path / "img.idx", tmp_path / "lbl.idx"
+
+    def _train_mnist(self, tmp_path, digits, *sizes, test_pair=False):
+        images, labels = digits
+        pair = ["--mnist-test-images", images, "--mnist-test-labels", labels] if test_pair else []
+        return run(
+            ["train", "--task", "mnist", "--out", tmp_path / "o", "--hidden", "3", "--epochs", "1",
+             "--snapshot-every", "0", "--mnist-images", images, "--mnist-labels", labels, *pair, *sizes]
+        )
+
+    @pytest.mark.parametrize(
+        "sizes, test_pair",
+        [
+            (["--train-size", "12"], False),  # nothing left over for evaluation
+            (["--train-size", "0", "--test-size", "12"], False),
+            (["--train-size", "0"], True),
+            (["--test-size", "0"], True),
+        ],
+    )
+    def test_mnist_empty_split_exit_2(self, tmp_path, capsys, digits, sizes, test_pair):
+        assert self._train_mnist(tmp_path, digits, *sizes, test_pair=test_pair) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("specto: usage error:") and err.count("\n") == 1
+        assert "size" in err
+
+    def test_mnist_leftover_evaluation_split(self, tmp_path, capsys, digits):
+        assert self._train_mnist(tmp_path, digits, "--train-size", "8", "--test-size", "100") == 0
+        assert "final accuracy" in capsys.readouterr().out
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_4(self, tmp_path, capsys):
@@ -334,11 +394,11 @@ class TestFactorizationCounts:
         monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
         return calls
 
-    @pytest.mark.parametrize("method", ["svd", "schur"])
+    @pytest.mark.parametrize("method", ["svd"])  # the batched SVD is the one field kernel
     def test_analyze_one_matrix(self, tmp_path, rng, calls, method):
         p = tmp_path / "w.csv"
         np.savetxt(p, rng.standard_normal((8, 8)), delimiter=",")
-        argv = ["analyze", p, "--out", tmp_path / "o", "--nx", "11", "--ny", "11", "--method", method]
+        argv = ["analyze", p, "--out", tmp_path / "o", "--nx", "11", "--ny", "11"]
         assert run(argv) == 0
         assert calls == {"schur": 1, "svd": 1, "eigvals": 0}
 
@@ -350,3 +410,44 @@ class TestFactorizationCounts:
         )
         assert code == 0
         assert calls == {"schur": 6, "svd": 6, "eigvals": 0}
+
+
+@st.composite
+def _containers(draw):
+    """A valid header followed by an arbitrary payload and footer, maybe truncated."""
+    rows, cols, flags = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    count = rows * cols * (2 if flags & 1 else 1)
+    floats = st.lists(st.floats(width=64), min_size=count, max_size=count)
+    payload = draw(st.one_of(floats.map(lambda v: struct.pack(f"<{len(v)}d", *v)), st.binary(max_size=80)))
+    name = st.text(max_size=8).map(lambda t: t.encode("utf-8"))
+    footer = draw(st.one_of(st.just(b""), name.map(lambda b: struct.pack("<I", len(b)) + b), st.binary(max_size=8)))
+    data = b"PSPC" + struct.pack("<HHII", 1, flags, rows, cols) + payload + footer
+    return data[: draw(st.integers(0, len(data)))] if draw(st.booleans()) else data
+
+
+_CSV_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet="0123456789.,-+eEinfa \n", max_size=40),
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(st.floats(width=64), min_size=n, max_size=n), min_size=n, max_size=n)
+    ).map(lambda rows: "\n".join(",".join(repr(v) for v in row) for row in rows)),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.one_of(
+            _containers().map(lambda data: ("w.pspc", data)),
+            _CSV_TEXT.map(lambda text: ("w.csv", text.encode("utf-8"))),
+        )
+    )
+    def test_analyze_any_input(self, case):
+        filename, data = case
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, redirect_stderr(err), redirect_stdout(io.StringIO()):
+            path = Path(tmp) / filename
+            path.write_bytes(data)
+            code = main(["analyze", str(path), "--out", str(Path(tmp) / "o"), "--nx", "5", "--ny", "5"])
+        assert code in (0, 2, 3, 4)
+        assert err.getvalue().count("\n") == (code != 0)  # one line per failure, no traceback

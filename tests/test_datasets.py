@@ -8,9 +8,7 @@ from specto.rnn import (
     Dataset,
     adding_splits,
     generate_adding,
-    load_dataset,
     load_mnist_idx,
-    save_dataset,
     synthetic_digits,
     write_idx_images,
     write_idx_labels,
@@ -157,30 +155,3 @@ class TestDatasetContainer:
         sub = ds.subset(4)
         assert len(sub) == 4
         assert np.array_equal(sub.inputs, ds.inputs[:4])
-
-
-class TestDatasetCache:
-    def test_adding_round_trip(self, tmp_path):
-        ds = generate_adding(17, 6, seed=4)
-        save_dataset(tmp_path / "cache", ds)
-        back = load_dataset(tmp_path / "cache")
-        assert back.task == "adding"
-        assert np.array_equal(back.inputs, ds.inputs)
-        assert np.array_equal(back.targets, ds.targets)
-
-    def test_mnist_labels_stay_integral(self, tmp_path, rng):
-        inputs = rng.random((5, 4, 3))
-        labels = rng.integers(0, 10, 5)
-        save_dataset(tmp_path / "m", Dataset(inputs, labels, "mnist"))
-        back = load_dataset(tmp_path / "m")
-        assert back.targets.dtype == np.int64
-        np.testing.assert_array_equal(back.targets, labels)
-        np.testing.assert_allclose(back.inputs, inputs, atol=0)
-
-    def test_foreign_container_rejected(self, tmp_path):
-        from specto import Matrix, write_matrix_file
-
-        write_matrix_file(tmp_path / "x-inputs.pspc", Matrix.identity(2), name="not-a-dataset")
-        write_matrix_file(tmp_path / "x-targets.pspc", Matrix.identity(2), name="nope")
-        with pytest.raises(FormatError, match="dataset header"):
-            load_dataset(tmp_path / "x")

@@ -176,6 +176,11 @@ class TestSchur:
         with pytest.raises(ValueError, match="square"):
             schur(Matrix.zeros(3, 2))
 
+    def test_overflowing_eigenvalue_is_numerical_error(self):
+        # eigenvalues 0 and 2e308: finite entries, an eigenvalue past the float range
+        with pytest.raises(NumericalError, match="overflow"):
+            schur(Matrix([[1e308, 1e308], [1e308, 1e308]]))
+
 
 class TestFactorizationCache:
     def test_factorized_once_per_instance(self, rng):

@@ -144,3 +144,11 @@ class TestOverflowSafety:
     def test_tiny_entries_normality_threshold(self):
         assert is_normal(Matrix([[1e-200, 1e-200], [0.0, 0.0]]))
         assert not is_normal(Matrix([[1e200, 1e200], [0.0, 0.0]]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_entries(self):
+        # the scale s is 2**-1064 here, so 1/s is past the float range
+        tiny = Matrix([[5e-324, 1e-320], [0.0, 5e-324]])  # 2**-1074 * [[1, 2024], [0, 1]]
+        rep = nonnormality_report(tiny)
+        assert rep.henrici == pytest.approx(henrici_number(Matrix([[1.0, 2024.0], [0.0, 1.0]])), rel=1e-12)
+        assert rep.schur_departure == pytest.approx(1e-320, rel=1e-12)

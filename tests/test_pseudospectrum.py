@@ -11,6 +11,7 @@ from conftest import (
 from specto import (
     GridSpec,
     Matrix,
+    NumericalError,
     auto_grid,
     compute_field,
     eigenvalues,
@@ -34,6 +35,14 @@ class TestGridSpec:
             GridSpec(1.0, -1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             GridSpec(-1.0, 1.0, -1.0, 1.0, nx=1)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [(0.0, np.inf, 0.0, 1.0), (-np.inf, 0.0, 0.0, 1.0), (0.0, 1.0, -1e308, 1e308), (np.nan, 1.0, 0.0, 1.0)],
+    )
+    def test_non_finite_bounds_or_width(self, bounds):
+        with pytest.raises(ValueError):
+            GridSpec(*bounds)
 
     def test_node_map_is_affine(self):
         g = GridSpec(-1.0, 1.0, 0.0, 2.0, nx=5, ny=3)
@@ -80,6 +89,19 @@ class TestSigmaMin:
     def test_requires_square(self):
         with pytest.raises(ValueError):
             sigma_min_at(Matrix.zeros(2, 3), 0.0)
+
+    def test_svd_failure_is_numerical_error(self, monkeypatch):
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(NumericalError, match="SVD did not converge"):
+            sigma_min_at(JORDAN2, 0.5)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_shift_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="overflowed"):
+            sigma_min_at(Matrix([[1.7e308]]), -1.7e308)
 
 
 class TestComputeField:
@@ -130,18 +152,6 @@ class TestComputeField:
         large = f.values <= 0.4
         assert not (small & ~large).any()
 
-    def test_schur_method_equivalent(self, rng):
-        w = random_matrix(rng, 9)
-        g = auto_grid(w, pad=0.5, nx=25, ny=25)
-        f_svd = compute_field(w, g, workers=1, method="svd")
-        f_tri = compute_field(w, g, workers=1, method="schur")
-        rel = np.abs(f_svd.values - f_tri.values) / np.maximum(f_svd.values, 1e-9)
-        assert rel.max() <= 1e-6
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            compute_field(JORDAN2, GridSpec(-1, 1, -1, 1, 3, 3), method="magic")
-
 
 class TestAutoGrid:
     def test_unit_disk_dominates(self):
@@ -155,6 +165,32 @@ class TestAutoGrid:
     def test_zero_pad_contains_unit_square(self):
         g = auto_grid(Matrix.diag([1.0]), pad=0.0)
         assert (g.re_min, g.re_max, g.im_min, g.im_max) == (-1.0, 1.0, -1.0, 1.0)
+
+    def test_shared_grid_is_union_of_boxes(self, rng):
+        for _ in range(20):
+            a = random_matrix(rng, 5, scale=rng.uniform(0.1, 3.0))
+            b = random_matrix(rng, 5, scale=rng.uniform(0.1, 3.0))
+            both = auto_grid(a, b, pad=0.3, nx=7, ny=9)
+            ga, gb = auto_grid(a, pad=0.3, nx=7, ny=9), auto_grid(b, pad=0.3, nx=7, ny=9)
+            assert both.re_min == min(ga.re_min, gb.re_min)
+            assert both.re_max == max(ga.re_max, gb.re_max)
+            assert both.im_min == min(ga.im_min, gb.im_min)
+            assert both.im_max == max(ga.im_max, gb.im_max)
+            assert (both.nx, both.ny) == (7, 9)
+
+    def test_needs_a_matrix(self):
+        with pytest.raises(ValueError):
+            auto_grid()
+
+    def test_overflowing_spectrum_is_numerical_error(self):
+        # eigenvalues 1e308 +- 1e308i are finite, the imaginary width is not
+        with pytest.raises(NumericalError, match="finite grid"):
+            auto_grid(Matrix([[1e308, -1e308], [1e308, 1e308]]))
+
+    @pytest.mark.parametrize("pad", [-0.1, float("nan"), float("inf")])
+    def test_bad_pad(self, pad):
+        with pytest.raises(ValueError, match="pad"):
+            auto_grid(Matrix.identity(2), pad=pad)
 
 
 class TestContours:

@@ -41,6 +41,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="task"):
             train(TrainConfig(task="mnist"), small_adding())
 
+    def test_empty_training_set(self):
+        with pytest.raises(ValueError, match="empty"):
+            train(small_cfg(), small_adding().subset(0))
+
 
 class TestTrainingMechanics:
     def test_zero_learning_rate_keeps_parameters(self):
@@ -86,7 +90,6 @@ class TestTrainingMechanics:
         data = small_adding(n=300)
         cfg = small_cfg(
             epochs=3,
-            stabilize_each_epoch=True,
             stabilizer=StabilizerConfig(m=200, seed=0),
         )
         _, history = train(cfg, data)
