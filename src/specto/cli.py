@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 usage error, 3 input format error, 4 numerical
 failure. SPECTO_THREADS caps the grid-evaluation worker count (default:
 machine parallelism). Report and SVG outputs contain no timestamps or
 filesystem paths, so identical flags and seeds reproduce identical bytes;
-wall-clock timing is only embedded when --timing is passed.
+--timing prints per-matrix wall time to stderr and leaves the outputs alone.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .containers import MatrixContainer, load_matrix_any, write_matrix_file
+from .containers import load_matrix_any, write_matrix_file
 from .errors import FormatError, NumericalError
 from .matrix import Matrix
 from .pseudospectrum import (
@@ -108,10 +108,9 @@ def cmd_analyze(args) -> int:
         grid = _grid_for(args, m)
         field = compute_field(m, grid, workers=args.workers)
         contours = extract_contours(field, eps)
-        wall = time.perf_counter() - t0 if args.timing else None
-        rep = build_matrix_report(
-            name, m, field, eps, contours, stability_tol=args.stability_tol, wall_time_s=wall
-        )
+        rep = build_matrix_report(name, m, field, eps, contours, stability_tol=args.stability_tol)
+        if args.timing:
+            print(f"{name}: {time.perf_counter() - t0:.6g} s", file=sys.stderr)
         write_contours_csv(out_dir / f"contours-{name}.csv", contours)
         (out_dir / f"portrait-{name}.svg").write_text(
             portrait_svg(name, field.eigenvalues, grid, contours), encoding="utf-8"
@@ -140,7 +139,7 @@ def cmd_analyze(args) -> int:
 def cmd_stabilize(args) -> int:
     m, name = load_matrix_any(args.input)
     result = stabilize(m, StabilizerConfig(m=args.m, seed=args.seed))
-    write_matrix_file(args.output, MatrixContainer.wrap(result.w_s, name))
+    write_matrix_file(args.output, result.w_s, name)
     print(fmt_float(result.gain_estimate))
     return 0
 
@@ -175,7 +174,7 @@ def cmd_compare(args) -> int:
             (b and a / b) if b else None for a, b in zip(counts[1], counts[0])
         ],
     }
-    (out_dir / "compare.json").write_text(emit(delta, 0) + "\n", encoding="utf-8")
+    (out_dir / "compare.json").write_text(emit(delta), encoding="utf-8")
     svg = compare_svg(
         (before_name, fields[0].eigenvalues, contours[0]),
         (after_name, fields[1].eigenvalues, contours[1]),
@@ -216,7 +215,6 @@ def cmd_train(args) -> int:
         seed=args.seed,
         grad_clip=args.clip if args.clip > 0 else None,
         stabilizer=None if args.stabilize is None else StabilizerConfig(m=args.stabilize, seed=args.seed),
-        seq_len=args.seq_len,
         memory_bias=args.memory_bias,
         target_accuracy=args.target_accuracy,
     )
@@ -240,17 +238,19 @@ def cmd_train(args) -> int:
                 f"{len(train_ds)} training and {len(eval_ds)} evaluation images"
             )
 
+    def write_gates(cell, tag):
+        for gate in cell.gates:
+            write_matrix_file(
+                out_dir / f"weights-{tag}-{gate}.pspc", Matrix(cell.w_rec[gate]), f"{cfg.kind}-{gate}"
+            )
+
     def snapshot(epoch, cell, record):
         print(
             f"epoch {record.epoch:3d} loss {record.loss:.6f} accuracy {record.accuracy:.4f}",
             flush=True,
         )
         if args.snapshot_every and epoch % args.snapshot_every == 0:
-            for gate in cell.gates:
-                write_matrix_file(
-                    out_dir / f"weights-epoch{epoch:03d}-{gate}.pspc",
-                    MatrixContainer.wrap(Matrix(cell.w_rec[gate]), f"{cfg.kind}-{gate}"),
-                )
+            write_gates(cell, f"epoch{epoch:03d}")
             rep = AnalysisReport(
                 version=__version__,
                 config={"task": cfg.task, "kind": cfg.kind, "epoch": epoch, "seed": cfg.seed},
@@ -262,11 +262,7 @@ def cmd_train(args) -> int:
 
     cell, history = train(cfg, train_ds, eval_ds, on_epoch=snapshot)
     (out_dir / "history.csv").write_text(_history_csv(history, cell.gates), encoding="utf-8")
-    for gate in cell.gates:
-        write_matrix_file(
-            out_dir / f"weights-final-{gate}.pspc",
-            MatrixContainer.wrap(Matrix(cell.w_rec[gate]), f"{cfg.kind}-{gate}"),
-        )
+    write_gates(cell, "final")
     final = history[-1]
     print(f"final accuracy {final.accuracy:.4f} after {final.epoch} epochs")
     return 0
@@ -285,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     _grid_flags(p)
     p.add_argument("--stability-tol", type=float, default=DEFAULT_STABILITY_TOL)
-    p.add_argument("--timing", action="store_true", help="embed wall time in report.json")
+    p.add_argument("--timing", action="store_true", help="print each matrix's wall time to stderr")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("train", help="train a recurrent cell and track its spectrum")

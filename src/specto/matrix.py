@@ -159,6 +159,8 @@ def singular_values(m: Matrix) -> np.ndarray:
             sv = np.linalg.svd(m.array, compute_uv=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD did not converge: {exc}") from exc
+        if not np.isfinite(sv).all():
+            raise NumericalError("singular values overflowed: the 2-norm is past the float range")
         sv.setflags(write=False)
         m._sv = sv
     return m._sv

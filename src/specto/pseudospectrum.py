@@ -396,6 +396,8 @@ def kreiss_lower_bound(field: PseudospectrumField, eps_list) -> float:
     if not eps_arr or any(e <= 0 for e in eps_arr):
         raise ValueError("eps_list must be nonempty with positive entries")
     best = max((pseudospectral_radius(field, e) - 1.0) / e for e in eps_arr)
+    if not np.isfinite(best):
+        raise NumericalError("Kreiss lower bound overflowed: (rho_eps - 1)/eps is past the float range")
     return max(best, 0.0)
 
 

@@ -1,7 +1,7 @@
 """Report bundles and their emitters: JSON metrics, contour CSV, SVG portraits.
 
-The JSON serializer writes every float with 17 significant digits, which
-round-trips IEEE doubles exactly; parse(serialize(report)) compares equal
+Every float is written as its shortest round-tripping text (``repr``, which
+is also what ``json`` writes), so parse(serialize(report)) compares equal
 and serialize(parse(text)) reproduces the text. Both follow the dataclass
 fields, so the report keys are exactly the field names, in field order.
 Output text is fully determined by its inputs -- no timestamps, no
@@ -11,8 +11,7 @@ filesystem paths -- so identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import get_args, get_origin, get_type_hints
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,7 +54,6 @@ class MatrixReport:
     grid: GridSpec | None = None
     eps_levels: list[float] | None = None
     contour_counts: list[int] | None = None
-    wall_time_s: float | None = None
 
 
 @dataclass(kw_only=True)  # keyword-only so the defaulted toolkit can lead the keys
@@ -73,7 +71,6 @@ def build_matrix_report(
     eps_list=None,
     contours: ContourSet | None = None,
     stability_tol: float = DEFAULT_STABILITY_TOL,
-    wall_time_s: float | None = None,
 ) -> MatrixReport:
     evs = eigenvalues(w)
     nn = nonnormality_report(w)
@@ -96,78 +93,37 @@ def build_matrix_report(
         grid=pfield.grid if pfield is not None else None,
         eps_levels=[float(e) for e in eps_list] if eps_list is not None else None,
         contour_counts=[len(group) for group in contours.polylines] if contours else None,
-        wall_time_s=wall_time_s,
     )
 
 
 # ---------------------------------------------------------------------------
-# JSON with 17-significant-digit floats
+# JSON and CSV text: shortest round-tripping floats
 # ---------------------------------------------------------------------------
 
 
 def fmt_float(x: float) -> str:
-    """17 significant digits: round-trips every finite double exactly."""
+    """Shortest text that reads back as exactly this double."""
     if not np.isfinite(x):
         raise ValueError("reports must not contain non-finite numbers")
-    return format(float(x), ".17g")
+    return repr(float(x))
 
 
-def emit(obj, indent: int) -> str:
-    """Deterministic JSON text of nested dicts/lists/scalars, floats via fmt_float."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = ",\n".join(inner + emit(v, indent + 1) for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {emit(v, indent + 1)}" for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def emit(obj) -> str:
+    """Deterministic JSON text of nested dicts/lists/scalars; rejects NaN and Inf."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def serialize_report(report: AnalysisReport) -> str:
-    return emit(asdict(report), 0) + "\n"
-
-
-def _from_json(tp, value):
-    """Rebuild a value of the declared type ``tp`` from its parsed JSON.
-
-    Integral floats are written without a decimal point (``1``), so JSON
-    numbers are coerced by the declared type rather than by their text.
-    """
-    if value is None:
-        return None
-    args = [a for a in get_args(tp) if a is not type(None)]
-    if get_origin(tp) is list:
-        return [_from_json(args[0], v) for v in value]
-    if args:  # X | None
-        return _from_json(args[0], value)
-    if is_dataclass(tp):
-        hints = get_type_hints(tp)
-        return tp(**{f.name: _from_json(hints[f.name], value[f.name]) for f in fields(tp)})
-    return float(value) if tp is float else value
+    return emit(asdict(report))
 
 
 def parse_report(text: str) -> AnalysisReport:
-    # fmt_float writes -0.0 as "-0", the one integer literal that must stay a float
-    doc = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
-    return _from_json(AnalysisReport, doc)
+    doc = json.loads(text)
+    for m in doc["matrices"]:
+        if m["grid"] is not None:
+            m["grid"] = GridSpec(**m["grid"])
+    doc["matrices"] = [MatrixReport(**m) for m in doc["matrices"]]
+    return AnalysisReport(**doc)
 
 
 def write_contours_csv(path, contours: ContourSet) -> None:

@@ -103,7 +103,6 @@ def init_cell(
     hidden: int,
     output_dim: int,
     seed: int | np.random.Generator = 0,
-    init_scale: float = 1.0,
     memory_bias: float = 0.0,
 ) -> CellParams:
     """Seeded uniform init scaled by 1/sqrt(fan-in); biases start at zero.
@@ -116,8 +115,8 @@ def init_cell(
     if kind not in KINDS:
         raise ValueError(f"unknown cell kind {kind!r}")
     w_rec, w_in, b = {}, {}, {}
-    s_rec = init_scale / np.sqrt(hidden)
-    s_in = init_scale / np.sqrt(input_dim)
+    s_rec = 1.0 / np.sqrt(hidden)
+    s_in = 1.0 / np.sqrt(input_dim)
     for g in GATE_ORDER[kind]:
         w_rec[g] = rng.uniform(-s_rec, s_rec, (hidden, hidden))
         w_in[g] = rng.uniform(-s_in, s_in, (hidden, input_dim))
@@ -281,13 +280,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def loss(output: np.ndarray, target, task: str) -> float:
     """Terminal loss: squared error (adding) or softmax cross-entropy (mnist)."""
-    output = np.asarray(output, dtype=float)
-    if task == "adding":
-        return float((output[0] - float(target)) ** 2)
-    if task == "mnist":
-        shifted = output - output.max()
-        return float(np.log(np.exp(shifted).sum()) - shifted[int(target)])
-    raise ValueError(f"unknown task {task!r}")
+    return _loss_and_dlogits(np.asarray(output, dtype=float)[None], np.asarray([target]), task)[0]
 
 
 def _zero_grads(cell: CellParams) -> dict[str, np.ndarray]:
@@ -303,11 +296,13 @@ def _loss_and_dlogits(logits: np.ndarray, targets: np.ndarray, task: str):
         dlogits[:, 0] = 2.0 * err / bsz
         return float(np.mean(err**2)), dlogits
     if task == "mnist":
-        p = softmax(logits)
-        labels = targets.astype(int)
-        nll = -np.log(p[np.arange(bsz), labels])
-        dlogits = p.copy()
-        dlogits[np.arange(bsz), labels] -= 1.0
+        rows, labels = np.arange(bsz), targets.astype(int)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        total = e.sum(axis=1, keepdims=True)
+        nll = np.log(total[:, 0]) - shifted[rows, labels]  # log-sum-exp: no log of an underflowed 0
+        dlogits = e / total
+        dlogits[rows, labels] -= 1.0
         return float(nll.mean()), dlogits / bsz
     raise ValueError(f"unknown task {task!r}")
 

@@ -42,9 +42,6 @@ class TrainConfig:
     seed: int = 0
     grad_clip: float | None = 1.0
     stabilizer: StabilizerConfig | None = None  # when set, rescale every gate after each epoch
-    seq_len: int = 50
-    accuracy_tolerance: float = 0.04
-    init_scale: float = 1.0
     memory_bias: float = 2.0
     target_accuracy: float | None = None
 
@@ -112,7 +109,6 @@ def train(
         hidden=cfg.hidden,
         output_dim=output_dim,
         seed=rng,
-        init_scale=cfg.init_scale,
         memory_bias=cfg.memory_bias,
     )
     measure_on = eval_data if eval_data is not None else train_data
@@ -132,7 +128,7 @@ def train(
                 arr -= cfg.learning_rate * grads[name]
         if cfg.stabilizer is not None:
             _stabilize_gates(cell, cfg.stabilizer, epoch)
-        acc = accuracy(cell, measure_on, cfg.task, cfg.accuracy_tolerance)
+        acc = accuracy(cell, measure_on, cfg.task)
         reports = {
             g: build_matrix_report(f"{cfg.kind}-{g}", Matrix(cell.w_rec[g])) for g in cell.gates
         }

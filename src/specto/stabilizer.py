@@ -20,6 +20,8 @@ from .matrix import Matrix
 
 __all__ = ["StabilizerConfig", "StabilizationResult", "stabilize", "gain_convergence"]
 
+MAX_RESTARTS = 5  # fresh start vectors tried after an exact dead end
+
 
 @dataclass(frozen=True)
 class StabilizerConfig:
@@ -27,20 +29,16 @@ class StabilizerConfig:
 
     m is the number of power iterations (default 1: cheap, start-vector
     dependent, reproducible through the seed). The start vector is drawn
-    from N(0, sigma0) unless an explicit one is injected.
+    from N(0, 1) unless an explicit one is injected.
     """
 
     m: int = 1
     seed: int = 0
-    sigma0: float = 1.0
     injected_u0: np.ndarray | None = field(default=None, compare=False)
-    max_restarts: int = 5
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("iteration count m must be >= 1")
-        if not self.sigma0 > 0:
-            raise ValueError("sigma0 must be positive")
         if self.injected_u0 is not None:
             u0 = np.asarray(self.injected_u0, dtype=float)
             if u0.ndim != 1 or np.linalg.norm(u0) == 0.0:
@@ -63,7 +61,7 @@ def _start_vector(a: np.ndarray, cfg: StabilizerConfig, rng: np.random.Generator
                 f"injected_u0 has dimension {u0.shape[0]}, matrix has {a.shape[0]} rows"
             )
         return u0.copy()
-    return rng.normal(0.0, cfg.sigma0, a.shape[0])
+    return rng.normal(0.0, 1.0, a.shape[0])
 
 
 def _power_pairs(a: np.ndarray, cfg: StabilizerConfig, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -77,9 +75,9 @@ def _power_pairs(a: np.ndarray, cfg: StabilizerConfig, m: int) -> list[tuple[np.
         nu = np.linalg.norm(wu)
         if nu == 0.0:
             restarts += 1
-            if restarts > cfg.max_restarts:
+            if restarts > MAX_RESTARTS:
                 raise NumericalError("power iteration stalled: W^T u vanished repeatedly")
-            u = rng.normal(0.0, cfg.sigma0, a.shape[0])
+            u = rng.normal(0.0, 1.0, a.shape[0])
             pairs.clear()
             continue
         v = wu / nu
@@ -87,9 +85,9 @@ def _power_pairs(a: np.ndarray, cfg: StabilizerConfig, m: int) -> list[tuple[np.
         nv = np.linalg.norm(wv)
         if nv == 0.0:
             restarts += 1
-            if restarts > cfg.max_restarts:
+            if restarts > MAX_RESTARTS:
                 raise NumericalError("power iteration stalled: W v vanished repeatedly")
-            u = rng.normal(0.0, cfg.sigma0, a.shape[0])
+            u = rng.normal(0.0, 1.0, a.shape[0])
             pairs.clear()
             continue
         u = wv / nv

@@ -76,6 +76,19 @@ class TestLoss:
         with pytest.raises(ValueError):
             loss(np.zeros(2), 0, "sorting")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_softmax_keeps_a_finite_loss(self):
+        # the label's softmax probability e^-800 underflows to 0; -log of it would be inf
+        logits = np.zeros(10)
+        logits[0] = 800.0
+        assert loss(logits, 1, "mnist") == 800.0
+        cell = init_cell("gru", 2, 3, 10, seed=0)
+        cell.w_out[:] = 0.0
+        cell.b_out[:] = logits
+        value, grads = batch_loss_and_grads(cell, np.zeros((2, 4, 2)), np.array([1, 1]), "mnist")
+        assert value == 800.0
+        assert all(np.isfinite(g).all() for g in grads.values())
+
 
 class TestBackward:
     @pytest.mark.parametrize("kind", ("rnn", "lstm", "gru"))

@@ -1,4 +1,5 @@
 import io
+import json
 import struct
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -141,22 +142,55 @@ class TestAnalyze:
         text = (out / "report.json").read_text()
         assert serialize_report(parse_report(text)) == text
 
-    def test_timing_flag_controls_wall_time(self, tmp_path, identity_csv):
+    def test_timing_flag_controls_wall_time(self, tmp_path, identity_csv, capsys):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        run(["analyze", identity_csv, "--out", out1, "--nx", "21", "--ny", "21"])
-        run(["analyze", identity_csv, "--out", out2, "--nx", "21", "--ny", "21", "--timing"])
-        assert parse_report((out1 / "report.json").read_text()).matrices[0].wall_time_s is None
-        assert parse_report((out2 / "report.json").read_text()).matrices[0].wall_time_s > 0
+        assert run(["analyze", identity_csv, "--out", out1, "--nx", "21", "--ny", "21"]) == 0
+        assert capsys.readouterr().err == ""
+        assert run(["analyze", identity_csv, "--out", out2, "--nx", "21", "--ny", "21", "--timing"]) == 0
+        name, seconds, unit = capsys.readouterr().err.split()
+        assert name == "ident:" and float(seconds) > 0 and unit == "s"
+        assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, eps, overflow",
+        [
+            ("1.7e308\n", "1e-3", "Kreiss"),  # (rho_eps - 1)/eps
+            ("1e308,1e308\n0,1e-300\n", "1e-3", "Kreiss"),
+            ("1.5e308,1.5e308\n0,0\n", "1e-3", "Kreiss"),
+            ("1.5e308,1.5e308\n0,0\n", "1e300", "singular values"),  # the 2-norm
+        ],
+    )
+    def test_overflowing_report_value_exit_4(self, tmp_path, capsys, text, eps, overflow):
+        p = tmp_path / "w.csv"
+        p.write_text(text)
+        assert run(["analyze", p, "--out", tmp_path / "o", "--nx", "21", "--ny", "21", "--eps", eps]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"specto: numerical failure: {overflow}") and err.count("\n") == 1
+
+    def test_json_outputs_are_stdlib_json(self, tmp_path, identity_csv, jordan_file, capsys):
+        out = tmp_path / "o"
+        assert run(["analyze", identity_csv, jordan_file, "--out", out / "ana", "--nx", "21", "--ny", "21"]) == 0
+        assert run(["compare", identity_csv, jordan_file, "--out", out / "cmp", "--nx", "21", "--ny", "21"]) == 0
+        assert run(
+            ["train", "--task", "adding", "--out", out / "run", "--hidden", "3", "--epochs", "1",
+             "--train-size", "20", "--test-size", "10", "--seq-len", "4"]
+        ) == 0
+        paths = sorted(out.rglob("*.json"))
+        assert [p.name for p in paths] == ["report.json", "compare.json", "report-epoch001.json"]
+        for p in paths:
+            text = p.read_text()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 class TestStabilize:
-    def test_gain_printed_17_digits(self, tmp_path, capsys):
+    def test_gain_printed_round_trips(self, tmp_path, capsys):
         src = tmp_path / "d.csv"
         src.write_text("2,0\n0,0.5\n")
         dst = tmp_path / "out.pspc"
         assert run(["stabilize", src, dst, "-m", "200", "--seed", "1"]) == 0
         printed = capsys.readouterr().out.strip()
         assert float(printed) == pytest.approx(2.0, abs=1e-9)
+        assert printed == repr(float(printed))  # the shortest text of the exact double
         got = read_matrix_file(dst).matrix
         np.testing.assert_allclose(got.array.real, np.diag([1.0, 0.25]), atol=1e-9)
 
@@ -190,7 +224,6 @@ class TestStabilize:
 
 class TestCompare:
     def test_stabilized_deltas(self, tmp_path, rng, capsys):
-        import json
 
         w = Matrix(rng.standard_normal((4, 4)))
         before = tmp_path / "before.pspc"
@@ -205,7 +238,6 @@ class TestCompare:
         assert (out / "compare.svg").exists()
 
     def test_identical_inputs_zero_delta(self, tmp_path, identity_csv):
-        import json
 
         out = tmp_path / "cmp"
         assert run(["compare", identity_csv, identity_csv, "--out", out, "--nx", "21", "--ny", "21"]) == 0
@@ -265,7 +297,7 @@ class TestTrain:
         )
         rows = [line.split(",") for line in (out / "history.csv").read_text().splitlines()[1:]]
         losses = {row[1] for row in rows}
-        assert len(losses) == 1  # identical 17-digit loss text every epoch
+        assert len(losses) == 1  # identical loss text every epoch
 
     def test_stabilized_training_radius_capped(self, tmp_path):
         out = tmp_path / "stab"

@@ -91,6 +91,11 @@ class TestTwoNormAndSingularValues:
     def test_identity(self):
         assert two_norm(Matrix.identity(7)) == pytest.approx(1.0, abs=1e-12)
 
+    def test_overflowing_singular_value_is_numerical_error(self):
+        # sigma_max = 1.5e308 * sqrt(2): finite entries, a 2-norm past the float range
+        with pytest.raises(NumericalError, match="overflow"):
+            singular_values(Matrix([[1.5e308, 1.5e308], [0.0, 0.0]]))
+
     def test_diag_descending(self):
         np.testing.assert_allclose(singular_values(Matrix.diag([3.0, 1.0])), [3.0, 1.0], atol=1e-12)
 

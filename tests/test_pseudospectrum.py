@@ -293,6 +293,13 @@ class TestKreiss:
         f = compute_field(w, g, workers=1)
         assert kreiss_lower_bound(f, np.logspace(-4, 0, 20)) > 1.0
 
+    def test_overflowing_bound_is_numerical_error(self):
+        w = Matrix([[1.7e308]])  # rho_eps = 1.7e308, so (rho_eps - 1)/1e-3 is past the float range
+        f = compute_field(w, auto_grid(w, nx=5, ny=5), workers=1)
+        assert kreiss_lower_bound(f, [1.0]) == pytest.approx(1.7e308)
+        with pytest.raises(NumericalError, match="overflow"):
+            kreiss_lower_bound(f, [1e-3, 1.0])
+
     def test_eps_list_validation(self):
         f = compute_field(Matrix.identity(2), GridSpec(-2, 2, -2, 2, 5, 5), workers=1)
         with pytest.raises(ValueError):

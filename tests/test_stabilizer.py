@@ -19,8 +19,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             StabilizerConfig(m=0)
         with pytest.raises(ValueError):
-            StabilizerConfig(sigma0=0.0)
-        with pytest.raises(ValueError):
             StabilizerConfig(injected_u0=np.zeros(3))
 
     def test_injected_dimension_checked(self):

@@ -18,7 +18,6 @@ def small_cfg(**kw):
         epochs=3,
         learning_rate=0.2,
         seed=0,
-        seq_len=12,
     )
     base.update(kw)
     return TrainConfig(**base)
@@ -53,9 +52,7 @@ class TestTrainingMechanics:
         cell, history = train(cfg, data)
         # replicate the internal init stream: same seed, same draw order
         rng = np.random.default_rng(cfg.seed)
-        expected = init_cell(
-            "gru", 2, cfg.hidden, 1, seed=rng, init_scale=cfg.init_scale, memory_bias=cfg.memory_bias
-        )
+        expected = init_cell("gru", 2, cfg.hidden, 1, seed=rng, memory_bias=cfg.memory_bias)
         for (_, got), (_, want) in zip(param_items(cell), param_items(expected)):
             assert np.array_equal(got, want)
         losses = [h.loss for h in history]
