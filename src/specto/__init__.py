@@ -34,6 +34,7 @@ from .pseudospectrum import (
     KreissSandwich,
     PseudospectrumField,
     auto_grid,
+    check_levels,
     compute_field,
     extract_contours,
     jacobian_norm_bound_check,
@@ -85,6 +86,7 @@ __all__ = [
     "TrainingDiverged",
     "auto_grid",
     "build_matrix_report",
+    "check_levels",
     "commutator_norm",
     "compare_svg",
     "compute_field",

@@ -25,6 +25,7 @@ from .pseudospectrum import (
     DEFAULT_GRID_PAD,
     GridSpec,
     auto_grid,
+    check_levels,
     compute_field,
     extract_contours,
 )
@@ -47,14 +48,12 @@ DEFAULT_EPS_LEVELS = tuple(10.0 ** (-3 + 0.5 * k) for k in range(6))
 
 def _parse_eps(text: str | None):
     if not text:
-        return list(DEFAULT_EPS_LEVELS)
+        return DEFAULT_EPS_LEVELS
     try:
         eps = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"--eps expects comma-separated floats, got {text!r}") from None
-    if not eps or any(e <= 0 for e in eps) or sorted(eps) != eps or len(set(eps)) != len(eps):
-        raise ValueError("--eps levels must be positive and strictly increasing")
-    return eps
+    return check_levels(eps)
 
 
 def _safe_name(name: str) -> str:
@@ -108,7 +107,7 @@ def cmd_analyze(args) -> int:
         grid = _grid_for(args, m)
         field = compute_field(m, grid, workers=args.workers)
         contours = extract_contours(field, eps)
-        rep = build_matrix_report(name, m, field, eps, contours, stability_tol=args.stability_tol)
+        rep = build_matrix_report(name, m, field, contours, stability_tol=args.stability_tol)
         if args.timing:
             print(f"{name}: {time.perf_counter() - t0:.6g} s", file=sys.stderr)
         write_contours_csv(out_dir / f"contours-{name}.csv", contours)
@@ -159,7 +158,7 @@ def cmd_compare(args) -> int:
     fields = [compute_field(m, grid, workers=args.workers) for m in (before, after)]
     contours = [extract_contours(f, eps) for f in fields]
     reports = [
-        build_matrix_report(n, m, f, eps, c, stability_tol=args.stability_tol)
+        build_matrix_report(n, m, f, c, stability_tol=args.stability_tol)
         for n, m, f, c in zip((before_name, after_name), (before, after), fields, contours)
     ]
     counts = [[int((f.values <= e).sum()) for e in eps] for f in fields]

@@ -89,9 +89,6 @@ class Matrix:
     def diag(cls, values) -> "Matrix":
         return cls(np.diag(np.asarray(values)))
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self._a.T)
-
     def adjoint(self) -> "Matrix":
         """Conjugate transpose."""
         return Matrix(self._a.conj().T)

@@ -24,6 +24,7 @@ __all__ = [
     "PseudospectrumField",
     "ContourSet",
     "KreissSandwich",
+    "check_levels",
     "sigma_min_at",
     "compute_field",
     "auto_grid",
@@ -124,17 +125,16 @@ class ContourSet:
     def __post_init__(self):
         if len(self.levels) != len(self.polylines):
             raise ValueError("one polyline group per level required")
-        _check_levels(self.levels)
+        check_levels(self.levels)
 
 
-def _check_levels(levels) -> None:
-    if len(levels) == 0:
-        raise ValueError("need at least one level")
-    prev = 0.0
-    for lev in levels:
-        if lev <= prev:
-            raise ValueError("levels must be strictly increasing and positive")
-        prev = lev
+def check_levels(levels) -> tuple[float, ...]:
+    """``levels`` as floats; eps levels must be finite, positive and strictly increasing."""
+    levels = tuple(float(lev) for lev in levels)
+    increasing = all(a < b for a, b in zip(levels, levels[1:]))
+    if not (levels and increasing and 0.0 < levels[0] and levels[-1] < math.inf):
+        raise ValueError(f"eps levels must be finite, positive and strictly increasing, got {list(levels)}")
+    return levels
 
 
 def _sigma_min_stack(a: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -222,149 +222,88 @@ def auto_grid(
 
 
 # ---------------------------------------------------------------------------
-# Marching squares
+# Contours from crossed cell sides
 #
-# Cell corners, with i indexing the real axis and j the imaginary axis:
-#
-#     c01 --- c11          edges: ("h", i, j)   node (i,j) -- (i+1,j)
-#      |       |                  ("v", i, j)   node (i,j) -- (i,j+1)
-#     c00 --- c10
-#
-# A corner is "inside" when its value < level. Intersection points are
-# linearly interpolated along crossed edges and keyed by the edge they lie
-# on, so segment endpoints from neighbouring cells match exactly and chain
-# into polylines without any floating-point tolerance. The two ambiguous
-# saddle cases are resolved by the midpoint rule (mean of the four corners).
+# A node is inside when its value < level, and the level crosses each grid
+# edge whose two nodes disagree. Edges carry integer ids: (i,j)-(i+1,j) is
+# i*ny + j and (i,j)-(i,j+1) is (nx-1)*ny + i*(ny-1) + j. A cell is crossed on
+# zero, two or four sides. Two crossed sides hold one segment joining them; a
+# saddle's four hold two segments that cut off the two corners on the other
+# side from the cell centre (the mean of the four corners), the midpoint rule.
+# So a crossed edge has one neighbour on the grid border and two inside it,
+# and polylines are walks: from the border ends first, then around closed
+# loops. A vertex is interpolated once per crossed edge, so the two cells
+# that share an edge share its vertex exactly.
 # ---------------------------------------------------------------------------
 
-_BOTTOM, _RIGHT, _TOP, _LEFT = 0, 1, 2, 3
 
-_CASE_SEGMENTS = {
-    0: (),
-    1: ((_LEFT, _BOTTOM),),
-    2: ((_BOTTOM, _RIGHT),),
-    3: ((_LEFT, _RIGHT),),
-    4: ((_RIGHT, _TOP),),
-    6: ((_BOTTOM, _TOP),),
-    7: ((_LEFT, _TOP),),
-    8: ((_TOP, _LEFT),),
-    9: ((_BOTTOM, _TOP),),
-    11: ((_RIGHT, _TOP),),
-    12: ((_LEFT, _RIGHT),),
-    13: ((_BOTTOM, _RIGHT),),
-    14: ((_LEFT, _BOTTOM),),
-    15: (),
-}
-
-
-def _cell_edge_key(i: int, j: int, side: int) -> tuple[str, int, int]:
-    if side == _BOTTOM:
-        return ("h", i, j)
-    if side == _TOP:
-        return ("h", i, j + 1)
-    if side == _LEFT:
-        return ("v", i, j)
-    return ("v", i + 1, j)
-
-
-def _level_segments(values: np.ndarray, level: float):
-    """(key_a, key_b) edge-key segments for one level.
-
-    The case index of every cell is computed vectorially; only boundary
-    cells (mixed corners) are visited in Python, so the cost scales with
-    the contour length rather than the grid area.
-    """
+def _level_polylines(values: np.ndarray, re_ax, im_ax, level: float) -> list[np.ndarray]:
+    nx, ny = values.shape
     inside = values < level
-    cases = (
-        inside[:-1, :-1].astype(np.int8)
-        | inside[1:, :-1].astype(np.int8) << 1
-        | inside[1:, 1:].astype(np.int8) << 2
-        | inside[:-1, 1:].astype(np.int8) << 3
-    )
-    segments = []
-    for i, j in np.argwhere((cases != 0) & (cases != 15)):
-        case = int(cases[i, j])
-        if case in (5, 10):
-            center_inside = (
-                values[i, j] + values[i + 1, j] + values[i + 1, j + 1] + values[i, j + 1]
-            ) < 4.0 * level
-            if (case == 5) == center_inside:
-                pairs = ((_LEFT, _TOP), (_BOTTOM, _RIGHT))
-            else:
-                pairs = ((_LEFT, _BOTTOM), (_RIGHT, _TOP))
-        else:
-            pairs = _CASE_SEGMENTS[case]
-        for a, b in pairs:
-            segments.append((_cell_edge_key(int(i), int(j), a), _cell_edge_key(int(i), int(j), b)))
-    return segments
+    across = inside[:-1, :] != inside[1:, :]  # crossed edges (i,j)-(i+1,j)
+    up = inside[:, :-1] != inside[:, 1:]  # crossed edges (i,j)-(i,j+1)
+    n_across = (nx - 1) * ny
+    ids = np.concatenate([np.flatnonzero(across), n_across + np.flatnonzero(up)])
+    i, j = np.nonzero(across)
+    t = (level - values[i, j]) / (values[i + 1, j] - values[i, j])
+    re, im = [re_ax[i] + t * (re_ax[i + 1] - re_ax[i])], [im_ax[j]]
+    i, j = np.nonzero(up)
+    t = (level - values[i, j]) / (values[i, j + 1] - values[i, j])
+    re.append(re_ax[i])
+    im.append(im_ax[j] + t * (im_ax[j + 1] - im_ax[j]))
+    pts = np.empty(ids.size, dtype=np.complex128)
+    pts.real, pts.imag = np.concatenate(re), np.concatenate(im)
 
+    # each crossed cell's sides, as positions in ids: bottom, right, top, left
+    hit = np.stack([across[:, :-1], up[1:, :], across[:, 1:], up[:-1, :]], axis=-1)
+    i, j = np.nonzero(hit.any(axis=-1))
+    hit, bottom, left = hit[i, j], i * ny + j, n_across + i * (ny - 1) + j
+    sides = np.searchsorted(ids, np.stack([bottom, left + ny - 1, bottom + 1, left], axis=-1))
+    pair = hit.sum(axis=-1) == 2
+    i, j = i[~pair], j[~pair]
+    bs, rs, ts, ls = sides[~pair].T
+    centre = (values[i, j] + values[i + 1, j] + values[i + 1, j + 1] + values[i, j + 1]) < 4.0 * level
+    agree = inside[i, j] == centre
+    segments = np.concatenate([
+        sides[pair][hit[pair]].reshape(-1, 2),
+        np.stack([bs, np.where(agree, rs, ls)], axis=-1),
+        np.stack([ts, np.where(agree, ls, rs)], axis=-1),
+    ])
 
-def _edge_point(key: tuple[str, int, int], values, re_ax, im_ax, level: float) -> complex:
-    kind, i, j = key
-    if kind == "h":
-        va, vb = values[i, j], values[i + 1, j]
-        t = (level - va) / (vb - va)
-        return complex(re_ax[i] + t * (re_ax[i + 1] - re_ax[i]), im_ax[j])
-    va, vb = values[i, j], values[i, j + 1]
-    t = (level - va) / (vb - va)
-    return complex(re_ax[i], im_ax[j] + t * (im_ax[j + 1] - im_ax[j]))
-
-
-def _chain_segments(segments) -> list[list]:
-    """Join edge-key segments into maximal open chains and closed loops."""
-    adjacency: dict = {}
-    for sid, (a, b) in enumerate(segments):
-        adjacency.setdefault(a, []).append((sid, b))
-        adjacency.setdefault(b, []).append((sid, a))
-    used = [False] * len(segments)
-    chains = []
-    for sid, (a, b) in enumerate(segments):
-        if used[sid]:
+    neighbours = [[] for _ in range(ids.size)]
+    for a, b in segments.tolist():
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    seen = [False] * ids.size
+    polylines = []
+    for start in [e for e, nb in enumerate(neighbours) if len(nb) == 1] + list(range(ids.size)):
+        if seen[start]:
             continue
-        used[sid] = True
-        chain = [a, b]
-        for grow_end in (True, False):
-            while True:
-                tip = chain[-1] if grow_end else chain[0]
-                nxt = None
-                for nsid, other in adjacency[tip]:
-                    if not used[nsid]:
-                        nxt = (nsid, other)
-                        break
-                if nxt is None:
-                    break
-                used[nxt[0]] = True
-                if grow_end:
-                    chain.append(nxt[1])
-                else:
-                    chain.insert(0, nxt[1])
-            if grow_end and chain[0] == chain[-1]:
-                break  # closed loop
-        chains.append(chain)
-    return chains
+        walk, prev = [start], None
+        while True:
+            seen[walk[-1]] = True
+            step = [e for e in neighbours[walk[-1]] if e != prev]
+            if not step:
+                break
+            prev = walk[-1]
+            walk.append(step[0])
+            if step[0] == start:
+                break
+        polylines.append(pts[walk])
+    return polylines
 
 
 def extract_contours(field: PseudospectrumField, levels) -> ContourSet:
-    """Marching-squares level sets of the field at each eps level.
+    """Level sets sigma_min = eps of the field, one polyline group per level.
 
-    Levels below the field minimum simply produce an empty polyline list.
+    Open polylines, which start and end on the grid border, come before
+    closed loops, which repeat their first vertex. A level below the field
+    minimum gives no polylines.
     """
-    levels = tuple(float(lev) for lev in levels)
-    _check_levels(levels)
-    re_ax = field.grid.re_axis()
-    im_ax = field.grid.im_axis()
-    groups = []
-    for level in levels:
-        segments = _level_segments(field.values, level)
-        polys = []
-        for chain in _chain_segments(segments):
-            pts = np.array(
-                [_edge_point(k, field.values, re_ax, im_ax, level) for k in chain],
-                dtype=np.complex128,
-            )
-            polys.append(pts)
-        groups.append(tuple(polys))
-    return ContourSet(levels=levels, polylines=tuple(groups))
+    levels = check_levels(levels)
+    re_ax, im_ax = field.grid.re_axis(), field.grid.im_axis()
+    groups = tuple(tuple(_level_polylines(field.values, re_ax, im_ax, lev)) for lev in levels)
+    return ContourSet(levels=levels, polylines=groups)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +317,7 @@ def pseudospectral_radius(field: PseudospectrumField, eps: float) -> float:
     A grid-based lower approximation. When no node qualifies the exact
     eigenvalues are used as a fallback (they always belong to sigma_eps).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    (eps,) = check_levels([eps])
     mask = field.values <= eps
     if mask.any():
         return float(np.abs(field.grid.nodes())[mask].max())
@@ -392,10 +330,7 @@ def kreiss_lower_bound(field: PseudospectrumField, eps_list) -> float:
     Underestimates the true Kreiss constant both through the eps sampling
     and through the grid-based rho_eps; clamped at zero.
     """
-    eps_arr = [float(e) for e in eps_list]
-    if not eps_arr or any(e <= 0 for e in eps_arr):
-        raise ValueError("eps_list must be nonempty with positive entries")
-    best = max((pseudospectral_radius(field, e) - 1.0) / e for e in eps_arr)
+    best = max((pseudospectral_radius(field, e) - 1.0) / e for e in check_levels(eps_list))
     if not np.isfinite(best):
         raise NumericalError("Kreiss lower bound overflowed: (rho_eps - 1)/eps is past the float range")
     return max(best, 0.0)

@@ -68,16 +68,16 @@ def build_matrix_report(
     name: str,
     w: Matrix,
     pfield: PseudospectrumField | None = None,
-    eps_list=None,
     contours: ContourSet | None = None,
     stability_tol: float = DEFAULT_STABILITY_TOL,
 ) -> MatrixReport:
+    """Metrics of ``w``; the eps levels and the Kreiss bound come from ``contours`` of ``pfield``."""
+    if (pfield is None) != (contours is None):
+        raise ValueError("build_matrix_report needs a field and its contours together, or neither")
     evs = eigenvalues(w)
     nn = nonnormality_report(w)
     rho = float(np.abs(evs).max())
-    kreiss = None
-    if pfield is not None and eps_list is not None:
-        kreiss = kreiss_lower_bound(pfield, eps_list)
+    kreiss = kreiss_lower_bound(pfield, contours.levels) if contours else None
     return MatrixReport(
         name=name,
         rows=w.rows,
@@ -90,8 +90,8 @@ def build_matrix_report(
         stable=rho <= 1.0 + stability_tol,
         stability_tol=stability_tol,
         kreiss_lower_bound=kreiss,
-        grid=pfield.grid if pfield is not None else None,
-        eps_levels=[float(e) for e in eps_list] if eps_list is not None else None,
+        grid=pfield.grid if pfield else None,
+        eps_levels=[float(e) for e in contours.levels] if contours else None,
         contour_counts=[len(group) for group in contours.polylines] if contours else None,
     )
 

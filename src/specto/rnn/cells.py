@@ -80,10 +80,6 @@ class CellParams:
     def input_dim(self) -> int:
         return self.w_in[self.gates[0]].shape[1]
 
-    @property
-    def output_dim(self) -> int:
-        return self.w_out.shape[0]
-
 
 def param_items(cell: CellParams) -> list[tuple[str, np.ndarray]]:
     """Dotted-name view of all trainable arrays, in a fixed order."""
@@ -270,12 +266,6 @@ def forward(cell: CellParams, seq: np.ndarray):
         raise ValueError(f"seq must be (time, input), got shape {seq.shape}")
     states, logits, _ = forward_batch(cell, seq[None])
     return states[1:, 0, :], logits[0]
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def loss(output: np.ndarray, target, task: str) -> float:

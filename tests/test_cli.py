@@ -84,6 +84,17 @@ class TestAnalyze:
     def test_bad_eps_exit_2(self, tmp_path, identity_csv):
         assert run(["analyze", identity_csv, "--out", tmp_path / "o", "--eps", "0.5,0.1"]) == 2
 
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    @pytest.mark.parametrize("eps", ["nan", "0.1,inf"])
+    def test_non_finite_eps_exit_2_before_any_output(self, tmp_path, identity_csv, capsys, command, eps):
+        inputs = [identity_csv] * (1 if command == "analyze" else 2)
+        out = tmp_path / "o"
+        assert run([command, *inputs, "--out", out, "--eps", eps]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "usage error" in captured.err and "finite" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["analyze"])  # missing --out and inputs

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from conftest import (
@@ -7,12 +9,17 @@ from conftest import (
     random_unitary,
     scaled_to_radius,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specto import (
+    ContourSet,
     GridSpec,
     Matrix,
     NumericalError,
+    PseudospectrumField,
     auto_grid,
+    check_levels,
     compute_field,
     eigenvalues,
     extract_contours,
@@ -237,6 +244,76 @@ class TestContours:
             extract_contours(f, [-0.5, 0.1])
         with pytest.raises(ValueError):
             extract_contours(f, [])
+
+    @pytest.mark.parametrize("levels", [[float("nan")], [0.1, float("nan")], [0.1, float("inf")], [float("inf")]])
+    def test_non_finite_levels_rejected(self, levels):
+        f = compute_field(Matrix.identity(2), GridSpec(-2, 2, -2, 2, 5, 5), workers=1)
+        with pytest.raises(ValueError, match="finite"):
+            check_levels(levels)
+        with pytest.raises(ValueError, match="finite"):
+            extract_contours(f, levels)
+        with pytest.raises(ValueError, match="finite"):
+            ContourSet(levels=tuple(levels), polylines=((),) * len(levels))
+        with pytest.raises(ValueError, match="finite"):
+            kreiss_lower_bound(f, levels)
+        with pytest.raises(ValueError, match="finite"):
+            pseudospectral_radius(f, levels[-1])
+
+    # Corners of the unit cell: 0 = node (0,0), 1 = (1,0), 1j = (0,1), 1+1j = (1,1).
+    # Each saddle segment cuts off one corner; the two cut-off corners are the
+    # ones on the other side of the level from the cell centre, the mean 0.5.
+    AROUND_0_AND_1P1J = {frozenset({0.25, 0.25j}), frozenset({1 + 0.75j, 0.75 + 1j})}
+    AROUND_1_AND_1J = {frozenset({0.75, 1 + 0.25j}), frozenset({0.75j, 0.25 + 1j})}
+
+    @pytest.mark.parametrize(
+        "values, level, expected",
+        [
+            ([[0.0, 1.0], [1.0, 0.0]], 0.25, AROUND_0_AND_1P1J),  # 0, 1+1j inside; centre outside
+            ([[0.0, 1.0], [1.0, 0.0]], 0.75, AROUND_1_AND_1J),  # 0, 1+1j inside; centre inside
+            ([[1.0, 0.0], [0.0, 1.0]], 0.25, AROUND_1_AND_1J),  # 1, 1j inside; centre outside
+            ([[1.0, 0.0], [0.0, 1.0]], 0.75, AROUND_0_AND_1P1J),  # 1, 1j inside; centre inside
+            # a centre equal to the level is outside, like a node
+            ([[0.0, 1.0], [1.0, 0.0]], 0.5, {frozenset({0.5, 0.5j}), frozenset({1 + 0.5j, 0.5 + 1j})}),
+        ],
+    )
+    def test_saddle_midpoint_rule(self, values, level, expected):
+        f = PseudospectrumField(GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2), np.array(values), np.zeros(1, complex))
+        (group,) = extract_contours(f, [level]).polylines
+        assert all(len(poly) == 2 for poly in group)
+        assert {frozenset(poly.tolist()) for poly in group} == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_crossing_used_exactly_once(self, data):
+        # node values are whole steps and levels half steps: equal values and
+        # saddle centres equal to the level occur, while every crossing lies
+        # strictly inside its edge, so distinct edges give distinct vertices
+        nx, ny = data.draw(st.integers(2, 12)), data.draw(st.integers(2, 12))
+        steps = st.lists(st.integers(0, 3), min_size=nx * ny, max_size=nx * ny)
+        values = np.array(data.draw(steps), dtype=float).reshape(nx, ny)
+        levels = data.draw(st.lists(st.sampled_from([0.5, 1.5, 2.5]), min_size=1, unique=True).map(sorted))
+        grid = GridSpec(-1.0, 2.0, -0.5, 1.5, nx, ny)
+        re_ax, im_ax = grid.re_axis(), grid.im_axis()
+        cs = extract_contours(PseudospectrumField(grid, values, np.zeros(1, complex)), levels)
+        for level, group in zip(levels, cs.polylines):
+            expected = Counter()
+            for i in range(nx):
+                for j in range(ny):
+                    va = values[i, j]
+                    if i + 1 < nx and (va < level) != (values[i + 1, j] < level):
+                        t = (level - va) / (values[i + 1, j] - va)
+                        expected[complex(re_ax[i] + t * (re_ax[i + 1] - re_ax[i]), im_ax[j])] += 1
+                    if j + 1 < ny and (va < level) != (values[i, j + 1] < level):
+                        t = (level - va) / (values[i, j + 1] - va)
+                        expected[complex(re_ax[i], im_ax[j] + t * (im_ax[j + 1] - im_ax[j]))] += 1
+            got = Counter()
+            for poly in group:
+                closed = poly[0] == poly[-1]
+                if not closed:
+                    for z in (poly[0], poly[-1]):
+                        assert z.real in (re_ax[0], re_ax[-1]) or z.imag in (im_ax[0], im_ax[-1])
+                got.update(poly[:-1].tolist() if closed else poly.tolist())
+            assert got == expected
 
 
 class TestPseudospectralRadius:

@@ -29,7 +29,7 @@ def analysis_fixture(rng, with_field=True):
         grid = auto_grid(w, pad=0.5, nx=31, ny=31)
         field = compute_field(w, grid, workers=1)
         contours = extract_contours(field, eps)
-        m = build_matrix_report("w", w, field, eps, contours)
+        m = build_matrix_report("w", w, field, contours)
     else:
         m = build_matrix_report("w", w)
     return AnalysisReport(version="0.1.0", config={"eps_levels": eps, "nx": 31}, matrices=[m])
@@ -106,6 +106,17 @@ class TestSpectralReport:
     def test_kreiss_requires_field(self, rng):
         rep = build_matrix_report("k", random_matrix(rng, 3))
         assert rep.kreiss_lower_bound is None
+
+    def test_levels_come_from_the_contours(self, rng):
+        w = random_matrix(rng, 3)
+        field = compute_field(w, auto_grid(w, nx=21, ny=21), workers=1)
+        contours = extract_contours(field, [0.1, 0.3])
+        rep = build_matrix_report("k", w, field, contours)
+        assert rep.eps_levels == [0.1, 0.3] and len(rep.contour_counts) == 2
+        with pytest.raises(ValueError, match="together"):
+            build_matrix_report("k", w, field)
+        with pytest.raises(ValueError, match="together"):
+            build_matrix_report("k", w, contours=contours)
 
     def test_henrici_matches_module(self, rng):
         from specto import henrici_number
