@@ -311,6 +311,13 @@ def extract_contours(field: PseudospectrumField, levels) -> ContourSet:
 # ---------------------------------------------------------------------------
 
 
+def _radius_within(field: PseudospectrumField, radii: np.ndarray, eps: float) -> float:
+    mask = field.values <= eps
+    if mask.any():
+        return float(radii[mask].max())
+    return float(np.abs(field.eigenvalues).max())
+
+
 def pseudospectral_radius(field: PseudospectrumField, eps: float) -> float:
     """Largest |lambda| over grid nodes inside the eps-pseudospectrum.
 
@@ -318,10 +325,7 @@ def pseudospectral_radius(field: PseudospectrumField, eps: float) -> float:
     eigenvalues are used as a fallback (they always belong to sigma_eps).
     """
     (eps,) = check_levels([eps])
-    mask = field.values <= eps
-    if mask.any():
-        return float(np.abs(field.grid.nodes())[mask].max())
-    return float(np.abs(field.eigenvalues).max())
+    return _radius_within(field, np.abs(field.grid.nodes()), eps)
 
 
 def kreiss_lower_bound(field: PseudospectrumField, eps_list) -> float:
@@ -330,7 +334,8 @@ def kreiss_lower_bound(field: PseudospectrumField, eps_list) -> float:
     Underestimates the true Kreiss constant both through the eps sampling
     and through the grid-based rho_eps; clamped at zero.
     """
-    best = max((pseudospectral_radius(field, e) - 1.0) / e for e in check_levels(eps_list))
+    radii = np.abs(field.grid.nodes())
+    best = max((_radius_within(field, radii, e) - 1.0) / e for e in check_levels(eps_list))
     if not np.isfinite(best):
         raise NumericalError("Kreiss lower bound overflowed: (rho_eps - 1)/eps is past the float range")
     return max(best, 0.0)

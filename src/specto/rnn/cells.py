@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit as sigmoid
 
 GATE_ORDER = {
     "rnn": ("recurrent",),
@@ -126,119 +125,207 @@ def init_cell(
 
 
 # ---------------------------------------------------------------------------
-# Batched forward passes. inputs is (B, T, d); caches hold whatever the
-# matching backward pass needs.
+# Fused kernels. Each call stacks every gate's weights into one matrix, so a
+# step runs one recurrent GEMM (the GRU two: update+reset, then the candidate
+# on r*h). States are hidden-major, (T+1, hidden, B), so each gate is a
+# contiguous row block of that GEMM's result. Sigmoid gates come first and
+# their rows are stored halved (exact in binary): one tanh over all rows and
+# one affine map give sigmoid(a) = 0.5 + 0.5 tanh(a/2). The input projection
+# of all steps is one matmul whose (T, G*hidden, B) buffer becomes the gate
+# activation cache. Backward turns that cache in place into the derivative
+# factors, then into the gate deltas da, so it holds no copy of its own; the
+# weight gradients are sums over the (T*B) columns of da after the time loop.
 # ---------------------------------------------------------------------------
 
-
-def _rnn_forward(cell, inputs):
-    bsz, steps, _ = inputs.shape
-    h = cell.hidden
-    w, u, b = cell.w_rec["recurrent"], cell.w_in["recurrent"], cell.b["recurrent"]
-    x = np.zeros((steps + 1, bsz, h))
-    s = np.empty((steps, bsz, h))
-    for t in range(steps):
-        s[t] = np.tanh(x[t])
-        x[t + 1] = s[t] @ w.T + inputs[:, t] @ u.T + b
-    return x, {"x": x, "s": s}
+# Fused row order: sigmoid gates first; in the LSTM the three gates whose
+# deltas scale the cell gradient (input, forget, cell) are adjacent, in the
+# GRU the two whose deltas scale the state gradient (update, candidate).
+_FUSED_ORDER = {
+    "rnn": ("recurrent",),
+    "lstm": ("output", "input", "forget", "cell"),
+    "gru": ("reset", "update", "candidate"),
+}
+_SIGMOID_GATES = {"rnn": 0, "lstm": 3, "gru": 2}
 
 
-def _rnn_backward(cell, inputs, cache, g_last, grads):
-    steps = inputs.shape[1]
+def _stack(cell: CellParams, table: dict[str, np.ndarray]) -> np.ndarray:
+    """One gate table stacked in fused row order (a fresh array)."""
+    return np.concatenate([table[g] for g in _FUSED_ORDER[cell.kind]])
+
+
+def _halve_sigmoid_rows(cell: CellParams, arr: np.ndarray) -> np.ndarray:
+    arr[: _SIGMOID_GATES[cell.kind] * cell.hidden] *= 0.5
+    return arr
+
+
+def _project(cell: CellParams, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """U u_t + b for every step into ``out`` (T, G*hidden, B), sigmoid rows halved."""
+    u = _halve_sigmoid_rows(cell, _stack(cell, cell.w_in))
+    b = _halve_sigmoid_rows(cell, _stack(cell, cell.b))
+    np.matmul(u, xs, out=out)
+    out += b[:, None]
+    return out
+
+
+def _column_sums(da: np.ndarray, acts: np.ndarray) -> np.ndarray:
+    """sum_t da_t acts_t^T over all (T*B) columns: (rows of da, rows of acts)."""
+    return np.matmul(da, acts.transpose(0, 2, 1)).sum(axis=0)
+
+
+def _weight_grads(da: np.ndarray, rec: np.ndarray, xs: np.ndarray):
+    """(w_rec, w_in, b) gradients in fused row order; rec[t] is what W multiplies at step t."""
+    return _column_sums(da, rec), _column_sums(da, xs), da.sum(axis=0).sum(axis=1)
+
+
+def _rnn_forward(cell, xs):
+    steps, _, bsz = xs.shape
     w = cell.w_rec["recurrent"]
-    s = cache["s"]
-    g = g_last
-    dw = grads["w_rec.recurrent"]
-    du = grads["w_in.recurrent"]
-    db = grads["b.recurrent"]
-    for t in range(steps - 1, -1, -1):
-        dw += g.T @ s[t]
-        du += g.T @ inputs[:, t]
-        db += g.sum(axis=0)
-        g = (g @ w) * (1.0 - s[t] ** 2)
-
-
-def _lstm_forward(cell, inputs):
-    bsz, steps, _ = inputs.shape
-    n = cell.hidden
-    h = np.zeros((steps + 1, bsz, n))
-    c = np.zeros((steps + 1, bsz, n))
-    gi, gf, gz, go, tc = (np.empty((steps, bsz, n)) for _ in range(5))
+    x = np.empty((steps + 1, cell.hidden, bsz))
+    x[0] = 0.0
+    _project(cell, xs, out=x[1:])
     for t in range(steps):
-        xt = inputs[:, t]
-        gi[t] = sigmoid(h[t] @ cell.w_rec["input"].T + xt @ cell.w_in["input"].T + cell.b["input"])
-        gf[t] = sigmoid(h[t] @ cell.w_rec["forget"].T + xt @ cell.w_in["forget"].T + cell.b["forget"])
-        gz[t] = np.tanh(h[t] @ cell.w_rec["cell"].T + xt @ cell.w_in["cell"].T + cell.b["cell"])
-        go[t] = sigmoid(h[t] @ cell.w_rec["output"].T + xt @ cell.w_in["output"].T + cell.b["output"])
-        c[t + 1] = gf[t] * c[t] + gi[t] * gz[t]
-        tc[t] = np.tanh(c[t + 1])
-        h[t + 1] = go[t] * tc[t]
-    return h, {"h": h, "c": c, "i": gi, "f": gf, "z": gz, "o": go, "tc": tc}
+        x[t + 1] += w @ np.tanh(x[t])
+    return x, {"x": x}
 
 
-def _lstm_backward(cell, inputs, cache, g_last, grads):
-    steps = inputs.shape[1]
-    h, c = cache["h"], cache["c"]
-    dh = g_last
-    dc = np.zeros_like(dh)
-    for t in range(steps - 1, -1, -1):
-        i, f, z, o, tc = (cache[k][t] for k in ("i", "f", "z", "o", "tc"))
-        xt = inputs[:, t]
-        da_o = (dh * tc) * o * (1.0 - o)
-        dc = dc + dh * o * (1.0 - tc**2)
-        da_i = (dc * z) * i * (1.0 - i)
-        da_z = (dc * i) * (1.0 - z**2)
-        da_f = (dc * c[t]) * f * (1.0 - f)
-        for gate, da in (("input", da_i), ("forget", da_f), ("cell", da_z), ("output", da_o)):
-            grads[f"w_rec.{gate}"] += da.T @ h[t]
-            grads[f"w_in.{gate}"] += da.T @ xt
-            grads[f"b.{gate}"] += da.sum(axis=0)
-        dh = (
-            da_i @ cell.w_rec["input"]
-            + da_f @ cell.w_rec["forget"]
-            + da_z @ cell.w_rec["cell"]
-            + da_o @ cell.w_rec["output"]
-        )
-        dc = dc * f
+def _rnn_backward(cell, cache, dh):
+    x, xs = cache["x"], cache["xs"]
+    s = np.tanh(x[:-1])
+    deriv = np.multiply(s, s, out=x[:-1])  # x_0..x_{T-1} are spent: reuse them
+    np.subtract(1.0, deriv, out=deriv)
+    da = x[1:]  # da[t] = dloss/dx_{t+1}, written over deriv[t+1] once it is used
+    da[-1:] = dh  # a slice, so that T = 0 has nothing to set
+    wt = cell.w_rec["recurrent"].T
+    for t in range(xs.shape[0] - 1, 0, -1):
+        np.multiply(wt @ da[t], deriv[t], out=da[t - 1])
+    return _weight_grads(da, s, xs)
 
 
-def _gru_forward(cell, inputs):
-    bsz, steps, _ = inputs.shape
+def _lstm_forward(cell, xs):
+    # fused rows: output, input, forget (sigmoid), cell candidate z (tanh)
+    steps, _, bsz = xs.shape
     n = cell.hidden
-    h = np.zeros((steps + 1, bsz, n))
-    gz, gr, gn = (np.empty((steps, bsz, n)) for _ in range(3))
+    act = _project(cell, xs, out=np.empty((steps, 4 * n, bsz)))
+    w = _halve_sigmoid_rows(cell, _stack(cell, cell.w_rec))
+    h = np.zeros((steps + 1, n, bsz))
+    c = np.zeros((steps + 1, n, bsz))
     for t in range(steps):
-        xt = inputs[:, t]
-        gz[t] = sigmoid(h[t] @ cell.w_rec["update"].T + xt @ cell.w_in["update"].T + cell.b["update"])
-        gr[t] = sigmoid(h[t] @ cell.w_rec["reset"].T + xt @ cell.w_in["reset"].T + cell.b["reset"])
-        gn[t] = np.tanh(
-            (gr[t] * h[t]) @ cell.w_rec["candidate"].T
-            + xt @ cell.w_in["candidate"].T
-            + cell.b["candidate"]
-        )
-        h[t + 1] = (1.0 - gz[t]) * gn[t] + gz[t] * h[t]
-    return h, {"h": h, "z": gz, "r": gr, "n": gn}
+        a = act[t]
+        a += w @ h[t]
+        np.tanh(a, out=a)
+        sig = a[: 3 * n]
+        sig *= 0.5
+        sig += 0.5
+        np.multiply(a[2 * n : 3 * n], c[t], out=c[t + 1])
+        c[t + 1] += a[n : 2 * n] * a[3 * n :]
+        np.tanh(c[t + 1], out=h[t + 1])
+        h[t + 1] *= a[:n]
+    return h, {"h": h, "c": c, "act": act}
 
 
-def _gru_backward(cell, inputs, cache, g_last, grads):
-    steps = inputs.shape[1]
-    h = cache["h"]
-    dh = g_last
+def _lstm_backward(cell, cache, dh):
+    h, c, act, xs = cache["h"], cache["c"], cache["act"], cache["xs"]
+    steps, _, bsz = act.shape
+    n = cell.hidden
+    o, i, f, z = (act[:, k * n : (k + 1) * n] for k in range(4))
+    # Derivative factors, over the gate values in place: o -> tanh(c) o (1-o),
+    # i -> z i (1-i), f -> c_prev f (1-f), z -> i (1-z^2). keep_f holds f and
+    # into_c the factor o (1-tanh^2 c) that carries dh into dc.
+    tc = np.tanh(c[1:])
+    into_c = np.multiply(tc, tc)
+    np.subtract(1.0, into_c, out=into_c)
+    into_c *= o
+    tc *= o
+    np.subtract(1.0, o, out=o)
+    o *= tc
+    keep_f = tc  # tanh(c) o is spent
+    np.multiply(z, z, out=keep_f)
+    np.subtract(1.0, keep_f, out=keep_f)
+    keep_f *= i
+    z *= i
+    np.subtract(1.0, i, out=i)
+    i *= z
+    np.copyto(z, keep_f)
+    np.copyto(keep_f, f)
+    np.subtract(1.0, f, out=f)
+    f *= keep_f
+    f *= c[:-1]
+    # Gate deltas, over the factors step by step: (da_i, da_f, da_z) = dc * rows n:4n.
+    from_c = act[:, n:].reshape(steps, 3, n, bsz)
+    wt = _stack(cell, cell.w_rec).T
+    dc = np.zeros((n, bsz))
     for t in range(steps - 1, -1, -1):
-        z, r, n = cache["z"][t], cache["r"][t], cache["n"][t]
-        hp = h[t]
-        xt = inputs[:, t]
-        da_n = (dh * (1.0 - z)) * (1.0 - n**2)
-        da_z = (dh * (hp - n)) * z * (1.0 - z)
-        dhr = da_n @ cell.w_rec["candidate"]
-        da_r = (dhr * hp) * r * (1.0 - r)
-        grads["w_rec.candidate"] += da_n.T @ (r * hp)
-        grads["w_rec.update"] += da_z.T @ hp
-        grads["w_rec.reset"] += da_r.T @ hp
-        for gate, da in (("update", da_z), ("reset", da_r), ("candidate", da_n)):
-            grads[f"w_in.{gate}"] += da.T @ xt
-            grads[f"b.{gate}"] += da.sum(axis=0)
-        dh = dh * z + da_z @ cell.w_rec["update"] + da_r @ cell.w_rec["reset"] + dhr * r
+        da = act[t]
+        da[:n] *= dh
+        dc += dh * into_c[t]
+        from_c[t] *= dc
+        if t:
+            dh = wt @ da
+            dc *= keep_f[t]
+    return _weight_grads(act, h[:-1], xs)
+
+
+def _gru_forward(cell, xs):
+    # fused rows: reset r, update z (sigmoid), candidate n (tanh on W_n (r*h))
+    steps, _, bsz = xs.shape
+    n = cell.hidden
+    act = _project(cell, xs, out=np.empty((steps, 3 * n, bsz)))
+    w = _halve_sigmoid_rows(cell, _stack(cell, cell.w_rec))
+    w_rz, w_n = w[: 2 * n], w[2 * n :]
+    h = np.zeros((steps + 1, n, bsz))
+    for t in range(steps):
+        a = act[t]
+        rz, cand = a[: 2 * n], a[2 * n :]
+        rz += w_rz @ h[t]
+        np.tanh(rz, out=rz)
+        rz *= 0.5
+        rz += 0.5
+        cand += w_n @ (a[:n] * h[t])
+        np.tanh(cand, out=cand)
+        # h' = (1 - z) n + z h = n + z (h - n)
+        np.subtract(h[t], cand, out=h[t + 1])
+        h[t + 1] *= a[n : 2 * n]
+        h[t + 1] += cand
+    return h, {"h": h, "act": act}
+
+
+def _gru_backward(cell, cache, dh):
+    h, act, xs = cache["h"], cache["act"], cache["xs"]
+    steps, rows, bsz = act.shape
+    n = cell.hidden
+    hp = h[:-1]
+    r, z, cand = act[:, :n], act[:, n : 2 * n], act[:, 2 * n :]
+    # Derivative factors, over the gate values in place: r -> h r (1-r),
+    # z -> (h - n) z (1-z), n -> (1-z)(1-n^2); keep_r and keep_z hold r and z.
+    rh = r * hp
+    keep_r, keep_z = r.copy(), z.copy()
+    np.subtract(1.0, r, out=r)
+    r *= rh
+    diff = hp - cand
+    diff *= keep_z
+    np.subtract(1.0, z, out=z)
+    np.multiply(cand, cand, out=cand)
+    np.subtract(1.0, cand, out=cand)
+    cand *= z
+    z *= diff
+    # Gate deltas, over the factors step by step: (da_z, da_n) = dh * rows n:3n.
+    from_h = act[:, n:].reshape(steps, 2, n, bsz)
+    w = _stack(cell, cell.w_rec)
+    wt_rz, wt_n = w[: 2 * n].T, w[2 * n :].T
+    for t in range(steps - 1, -1, -1):
+        da = act[t]
+        from_h[t] *= dh
+        dhr = wt_n @ da[2 * n :]
+        da[:n] *= dhr
+        if t:
+            dh_prev = wt_rz @ da[: 2 * n]
+            dh_prev += dh * keep_z[t]
+            dh_prev += dhr * keep_r[t]
+            dh = dh_prev
+    dw = np.empty((rows, n))
+    dw[: 2 * n] = _column_sums(act[:, : 2 * n], hp)
+    dw[2 * n :] = _column_sums(act[:, 2 * n :], rh)
+    return dw, _column_sums(act, xs), act.sum(axis=0).sum(axis=1)
 
 
 _FORWARD = {"rnn": _rnn_forward, "lstm": _lstm_forward, "gru": _gru_forward}
@@ -246,12 +333,19 @@ _BACKWARD = {"rnn": _rnn_backward, "lstm": _lstm_backward, "gru": _gru_backward}
 
 
 def forward_batch(cell: CellParams, inputs: np.ndarray):
-    """States (T+1, B, hidden), readout logits (B, output), cache."""
+    """States (T+1, B, hidden), readout logits (B, output), cache.
+
+    The cache is private to this module: it holds what the matching
+    backward pass needs.
+    """
     if inputs.ndim != 3 or inputs.shape[2] != cell.input_dim:
         raise ValueError(
             f"inputs must be (batch, time, {cell.input_dim}), got {inputs.shape}"
         )
-    states, cache = _FORWARD[cell.kind](cell, inputs)
+    xs = np.ascontiguousarray(np.transpose(inputs, (1, 2, 0)), dtype=float)  # (T, d, B)
+    hidden_major, cache = _FORWARD[cell.kind](cell, xs)
+    cache["xs"] = xs
+    states = hidden_major.transpose(0, 2, 1)
     logits = states[-1] @ cell.w_out.T + cell.b_out
     return states, logits, cache
 
@@ -271,10 +365,6 @@ def forward(cell: CellParams, seq: np.ndarray):
 def loss(output: np.ndarray, target, task: str) -> float:
     """Terminal loss: squared error (adding) or softmax cross-entropy (mnist)."""
     return _loss_and_dlogits(np.asarray(output, dtype=float)[None], np.asarray([target]), task)[0]
-
-
-def _zero_grads(cell: CellParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in param_items(cell)}
 
 
 def _loss_and_dlogits(logits: np.ndarray, targets: np.ndarray, task: str):
@@ -301,11 +391,17 @@ def batch_loss_and_grads(cell: CellParams, inputs: np.ndarray, targets: np.ndarr
     """Mean terminal loss over the batch and exact gradients for every parameter."""
     states, logits, cache = forward_batch(cell, inputs)
     value, dlogits = _loss_and_dlogits(logits, np.asarray(targets), task)
-    grads = _zero_grads(cell)
-    grads["w_out"] += dlogits.T @ states[-1]
-    grads["b_out"] += dlogits.sum(axis=0)
-    g_last = dlogits @ cell.w_out
-    _BACKWARD[cell.kind](cell, inputs, cache, g_last, grads)
+    dw_out, db_out = dlogits.T @ states[-1], dlogits.sum(axis=0)  # backward overwrites the cache
+    dw, du, db = _BACKWARD[cell.kind](cell, cache, cell.w_out.T @ dlogits.T)
+    n = cell.hidden
+    rows = {g: slice(k * n, (k + 1) * n) for k, g in enumerate(_FUSED_ORDER[cell.kind])}
+    grads = {}
+    for g in cell.gates:
+        grads[f"w_rec.{g}"] = dw[rows[g]]
+        grads[f"w_in.{g}"] = du[rows[g]]
+        grads[f"b.{g}"] = db[rows[g]]
+    grads["w_out"] = dw_out
+    grads["b_out"] = db_out
     return value, grads
 
 
@@ -325,10 +421,20 @@ def predictions(cell: CellParams, inputs: np.ndarray, chunk: int = 512) -> np.nd
     return np.concatenate(outs, axis=0)
 
 
+# Doubles in the (T, gates*hidden, chunk) activation buffer of one forward pass in
+# `accuracy` (4 MiB). A larger block, once freed, raises glibc's dynamic mmap
+# threshold, and the heap then keeps later large temporaries resident: a GRU
+# train followed by analyze in one process peaked 18 MB higher at 512 sequences
+# per pass (19.7 MB buffers).
+_EVAL_SCALARS = 1 << 19
+
+
 def accuracy(cell: CellParams, data, task: str | None = None, tol: float = 0.04) -> float:
     """Fraction correct: |prediction - target| <= tol (adding) or argmax (mnist)."""
     task = task or data.task
-    logits = predictions(cell, data.inputs)
+    steps = data.inputs.shape[1]
+    chunk = max(1, _EVAL_SCALARS // max(1, steps * len(cell.gates) * cell.hidden))
+    logits = predictions(cell, data.inputs, chunk)
     if task == "adding":
         return float(np.mean(np.abs(logits[:, 0] - data.targets) <= tol))
     if task == "mnist":
@@ -353,9 +459,9 @@ def rnn_jacobian_product_norms(cell: CellParams, seq: np.ndarray) -> np.ndarray:
     if cell.kind != "rnn":
         raise ValueError("jacobian product norms are defined for the vanilla rnn cell")
     seq = np.asarray(seq, dtype=float)
-    states, _, cache = forward_batch(cell, seq[None])
+    states, _, _ = forward_batch(cell, seq[None])
     w = cell.w_rec["recurrent"]
-    x = cache["x"][:, 0, :]
+    x = states[:, 0, :]
     steps = seq.shape[0]
     prod = np.eye(cell.hidden)
     norms = np.empty(steps)

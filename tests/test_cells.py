@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import expit as sigmoid
 
 from specto import Matrix, jacobian_norm_bound_check, two_norm
 from specto.rnn import (
@@ -9,12 +10,152 @@ from specto.rnn import (
     batch_loss_and_grads,
     extract_recurrent_matrices,
     forward,
+    forward_batch,
     generate_adding,
     init_cell,
     loss,
     param_items,
     rnn_jacobian_product_norms,
 )
+
+# ---------------------------------------------------------------------------
+# Reference BPTT: one GEMM per gate per step in batch-major (B, hidden)
+# layout, expit for the sigmoid, gradients accumulated inside the time loop.
+# The fused kernels must match it to rounding.
+# ---------------------------------------------------------------------------
+
+
+def _ref_rnn_forward(cell, inputs):
+    bsz, steps, _ = inputs.shape
+    w, u, b = cell.w_rec["recurrent"], cell.w_in["recurrent"], cell.b["recurrent"]
+    x = np.zeros((steps + 1, bsz, cell.hidden))
+    s = np.empty((steps, bsz, cell.hidden))
+    for t in range(steps):
+        s[t] = np.tanh(x[t])
+        x[t + 1] = s[t] @ w.T + inputs[:, t] @ u.T + b
+    return x, {"s": s}
+
+
+def _ref_rnn_backward(cell, inputs, cache, g, grads):
+    w, s = cell.w_rec["recurrent"], cache["s"]
+    for t in range(inputs.shape[1] - 1, -1, -1):
+        grads["w_rec.recurrent"] += g.T @ s[t]
+        grads["w_in.recurrent"] += g.T @ inputs[:, t]
+        grads["b.recurrent"] += g.sum(axis=0)
+        g = (g @ w) * (1.0 - s[t] ** 2)
+
+
+def _ref_lstm_forward(cell, inputs):
+    bsz, steps, _ = inputs.shape
+    h = np.zeros((steps + 1, bsz, cell.hidden))
+    c = np.zeros((steps + 1, bsz, cell.hidden))
+    gates = {k: np.empty((steps, bsz, cell.hidden)) for k in ("i", "f", "z", "o", "tc")}
+
+    def pre(g, t):
+        return h[t] @ cell.w_rec[g].T + inputs[:, t] @ cell.w_in[g].T + cell.b[g]
+
+    for t in range(steps):
+        i = gates["i"][t] = sigmoid(pre("input", t))
+        f = gates["f"][t] = sigmoid(pre("forget", t))
+        z = gates["z"][t] = np.tanh(pre("cell", t))
+        o = gates["o"][t] = sigmoid(pre("output", t))
+        c[t + 1] = f * c[t] + i * z
+        gates["tc"][t] = np.tanh(c[t + 1])
+        h[t + 1] = o * gates["tc"][t]
+    return h, {"h": h, "c": c, **gates}
+
+
+def _ref_lstm_backward(cell, inputs, cache, dh, grads):
+    h, c = cache["h"], cache["c"]
+    dc = np.zeros_like(dh)
+    for t in range(inputs.shape[1] - 1, -1, -1):
+        i, f, z, o, tc = (cache[k][t] for k in ("i", "f", "z", "o", "tc"))
+        da_o = (dh * tc) * o * (1.0 - o)
+        dc = dc + dh * o * (1.0 - tc**2)
+        da_i = (dc * z) * i * (1.0 - i)
+        da_z = (dc * i) * (1.0 - z**2)
+        da_f = (dc * c[t]) * f * (1.0 - f)
+        deltas = {"input": da_i, "forget": da_f, "cell": da_z, "output": da_o}
+        for gate, da in deltas.items():
+            grads[f"w_rec.{gate}"] += da.T @ h[t]
+            grads[f"w_in.{gate}"] += da.T @ inputs[:, t]
+            grads[f"b.{gate}"] += da.sum(axis=0)
+        dh = sum(da @ cell.w_rec[gate] for gate, da in deltas.items())
+        dc = dc * f
+
+
+def _ref_gru_forward(cell, inputs):
+    bsz, steps, _ = inputs.shape
+    h = np.zeros((steps + 1, bsz, cell.hidden))
+    gates = {k: np.empty((steps, bsz, cell.hidden)) for k in ("z", "r", "n")}
+    for t in range(steps):
+        xt = inputs[:, t]
+        z = gates["z"][t] = sigmoid(h[t] @ cell.w_rec["update"].T + xt @ cell.w_in["update"].T + cell.b["update"])
+        r = gates["r"][t] = sigmoid(h[t] @ cell.w_rec["reset"].T + xt @ cell.w_in["reset"].T + cell.b["reset"])
+        n = gates["n"][t] = np.tanh(
+            (r * h[t]) @ cell.w_rec["candidate"].T + xt @ cell.w_in["candidate"].T + cell.b["candidate"]
+        )
+        h[t + 1] = (1.0 - z) * n + z * h[t]
+    return h, {"h": h, **gates}
+
+
+def _ref_gru_backward(cell, inputs, cache, dh, grads):
+    h = cache["h"]
+    for t in range(inputs.shape[1] - 1, -1, -1):
+        z, r, n = cache["z"][t], cache["r"][t], cache["n"][t]
+        hp, xt = h[t], inputs[:, t]
+        da_n = (dh * (1.0 - z)) * (1.0 - n**2)
+        da_z = (dh * (hp - n)) * z * (1.0 - z)
+        dhr = da_n @ cell.w_rec["candidate"]
+        da_r = (dhr * hp) * r * (1.0 - r)
+        grads["w_rec.candidate"] += da_n.T @ (r * hp)
+        grads["w_rec.update"] += da_z.T @ hp
+        grads["w_rec.reset"] += da_r.T @ hp
+        for gate, da in (("update", da_z), ("reset", da_r), ("candidate", da_n)):
+            grads[f"w_in.{gate}"] += da.T @ xt
+            grads[f"b.{gate}"] += da.sum(axis=0)
+        dh = dh * z + da_z @ cell.w_rec["update"] + da_r @ cell.w_rec["reset"] + dhr * r
+
+
+_REF = {
+    "rnn": (_ref_rnn_forward, _ref_rnn_backward),
+    "lstm": (_ref_lstm_forward, _ref_lstm_backward),
+    "gru": (_ref_gru_forward, _ref_gru_backward),
+}
+
+
+def reference_loss_and_grads(cell, inputs, targets, task):
+    """(loss, logits, states, grads) of the reference BPTT."""
+    ref_forward, ref_backward = _REF[cell.kind]
+    states, cache = ref_forward(cell, inputs)
+    logits = states[-1] @ cell.w_out.T + cell.b_out
+    bsz = inputs.shape[0]
+    if task == "adding":
+        err = logits[:, 0] - targets
+        value = np.mean(err**2)
+        dlogits = np.zeros_like(logits)
+        dlogits[:, 0] = 2.0 * err / bsz
+    else:
+        rows, labels = np.arange(bsz), targets.astype(int)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        total = np.exp(shifted).sum(axis=1, keepdims=True)
+        value = np.mean(np.log(total[:, 0]) - shifted[rows, labels])
+        dlogits = np.exp(shifted) / total
+        dlogits[rows, labels] -= 1.0
+        dlogits /= bsz
+    grads = {name: np.zeros_like(arr) for name, arr in param_items(cell)}
+    grads["w_out"] += dlogits.T @ states[-1]
+    grads["b_out"] += dlogits.sum(axis=0)
+    ref_backward(cell, inputs, cache, dlogits @ cell.w_out, grads)
+    return value, logits, states, grads
+
+
+def assert_scaled_close(got, ref, tol=1e-12):
+    """max |got - ref| <= tol * max(1, max |ref|)."""
+    ref = np.asarray(ref)
+    assert np.shape(got) == ref.shape
+    scale = max(1.0, float(np.abs(ref).max(initial=0.0)))
+    assert float(np.abs(np.asarray(got) - ref).max(initial=0.0)) <= tol * scale
 
 
 def perturbed_cell(kind, task, seed, hidden=5, d=3, spread=0.3):
@@ -55,6 +196,39 @@ class TestForward:
             x = w @ np.tanh(x) + u @ seq[t] + b
             np.testing.assert_allclose(states[t], x, atol=1e-12)
         np.testing.assert_allclose(out, cell.w_out @ x + cell.b_out, atol=1e-12)
+
+    def test_lstm_matches_literal_recurrence(self):
+        cell, rng = perturbed_cell("lstm", "adding", seed=4)
+        seq = rng.normal(0, 1, (9, 3))
+        states, out = forward(cell, seq)
+
+        def gate(g, act, h, u):
+            return act(cell.w_rec[g] @ h + cell.w_in[g] @ u + cell.b[g])
+
+        h = c = np.zeros(cell.hidden)
+        for t in range(9):
+            i = gate("input", sigmoid, h, seq[t])
+            f = gate("forget", sigmoid, h, seq[t])
+            z = gate("cell", np.tanh, h, seq[t])
+            o = gate("output", sigmoid, h, seq[t])
+            c = f * c + i * z
+            h = o * np.tanh(c)
+            np.testing.assert_allclose(states[t], h, atol=1e-12)
+        np.testing.assert_allclose(out, cell.w_out @ h + cell.b_out, atol=1e-12)
+
+    def test_gru_matches_literal_recurrence(self):
+        cell, rng = perturbed_cell("gru", "adding", seed=5)
+        seq = rng.normal(0, 1, (9, 3))
+        states, out = forward(cell, seq)
+        w, u, b = cell.w_rec, cell.w_in, cell.b
+        h = np.zeros(cell.hidden)
+        for t in range(9):
+            z = sigmoid(w["update"] @ h + u["update"] @ seq[t] + b["update"])
+            r = sigmoid(w["reset"] @ h + u["reset"] @ seq[t] + b["reset"])
+            n = np.tanh(w["candidate"] @ (r * h) + u["candidate"] @ seq[t] + b["candidate"])
+            h = (1.0 - z) * n + z * h
+            np.testing.assert_allclose(states[t], h, atol=1e-12)
+        np.testing.assert_allclose(out, cell.w_out @ h + cell.b_out, atol=1e-12)
 
     def test_shape_mismatch(self):
         cell = init_cell("gru", 2, 4, 1, seed=0)
@@ -132,6 +306,54 @@ class TestBackward:
             np.testing.assert_allclose(
                 batch_grads[name], np.mean([s[1][name] for s in singles], axis=0), atol=1e-12
             )
+
+
+class TestFusedKernels:
+    @pytest.mark.parametrize("hidden", (1, 5, 32))
+    @pytest.mark.parametrize("steps", (1, 7, 50))
+    @pytest.mark.parametrize("bsz", (1, 3, 16))
+    @pytest.mark.parametrize("task", ("adding", "mnist"))
+    @pytest.mark.parametrize("kind", ("rnn", "lstm", "gru"))
+    def test_matches_reference_bptt(self, kind, task, bsz, steps, hidden):
+        d = 2 if task == "adding" else 4
+        cell, rng = perturbed_cell(kind, task, seed=hidden * 100 + steps, hidden=hidden, d=d)
+        inputs = rng.normal(0, 1, (bsz, steps, d))
+        targets = rng.uniform(0, 2, bsz) if task == "adding" else rng.integers(0, 10, bsz)
+        ref_value, ref_logits, ref_states, ref_grads = reference_loss_and_grads(cell, inputs, targets, task)
+        states, logits, _ = forward_batch(cell, inputs)
+        assert_scaled_close(states, ref_states)
+        assert_scaled_close(logits, ref_logits)
+        value, grads = batch_loss_and_grads(cell, inputs, targets, task)
+        assert_scaled_close(value, ref_value)
+        assert list(grads) == [name for name, _ in param_items(cell)]
+        for name, ref in ref_grads.items():
+            assert_scaled_close(grads[name], ref)
+
+    @pytest.mark.parametrize("table", ("w_rec", "w_in", "b"))
+    @pytest.mark.parametrize("kind", ("rnn", "lstm", "gru"))
+    def test_in_place_parameter_edits_reach_the_next_call(self, kind, table):
+        # the stacked gate matrices are rebuilt on every call, never cached on the cell
+        cell, rng = perturbed_cell(kind, "adding", seed=21)
+        inputs = rng.normal(0, 1, (4, 6, 3))
+        targets = rng.uniform(0, 2, 4)
+        for gate in cell.gates:
+            before, _ = batch_loss_and_grads(cell, inputs, targets, "adding")
+            getattr(cell, table)[gate] += 0.25
+            after, grads = batch_loss_and_grads(cell, inputs, targets, "adding")
+            assert after != before
+            ref_value, _, _, ref_grads = reference_loss_and_grads(cell, inputs, targets, "adding")
+            assert_scaled_close(after, ref_value)
+            for name, ref in ref_grads.items():
+                assert_scaled_close(grads[name], ref)
+
+    @pytest.mark.parametrize("kind", ("rnn", "lstm", "gru"))
+    def test_no_time_steps(self, kind):
+        cell, _ = perturbed_cell(kind, "adding", seed=2)
+        value, grads = batch_loss_and_grads(cell, np.zeros((3, 0, 3)), np.ones(3), "adding")
+        ref_value, _, _, ref_grads = reference_loss_and_grads(cell, np.zeros((3, 0, 3)), np.ones(3), "adding")
+        assert value == ref_value
+        for name, ref in ref_grads.items():
+            assert_scaled_close(grads[name], ref)
 
 
 class TestJacobianProducts:

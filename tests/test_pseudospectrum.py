@@ -377,6 +377,31 @@ class TestKreiss:
         with pytest.raises(NumericalError, match="overflow"):
             kreiss_lower_bound(f, [1e-3, 1.0])
 
+    def test_builds_grid_nodes_once(self, monkeypatch, rng):
+        w = random_matrix(rng, 4)
+        f = compute_field(w, auto_grid(w, nx=41, ny=41), workers=1)
+        calls = []
+        nodes = GridSpec.nodes
+
+        def counted(grid):
+            calls.append(grid)
+            return nodes(grid)
+
+        monkeypatch.setattr(GridSpec, "nodes", counted)
+        kreiss_lower_bound(f, [1e-3, 1e-2, 0.05, 0.1, 0.5, 1.0])
+        assert len(calls) == 1
+
+    def test_equals_max_over_per_level_radii(self, rng):
+        for _ in range(25):
+            grid = GridSpec(-3.0, 3.0, -2.5, 2.5, 23, 19)
+            values = rng.uniform(0.05, 1.5, (23, 19))
+            eigs = rng.normal(0, 1.2, 3) + 1j * rng.normal(0, 1.2, 3)
+            f = PseudospectrumField(grid, values, eigs)
+            # 0.01 and 0.04 lie below every node: those levels fall back to the eigenvalues
+            levels = [0.01, 0.04, *np.sort(rng.uniform(0.05, 2.0, 4))]
+            expected = max((pseudospectral_radius(f, e) - 1.0) / e for e in levels)
+            assert kreiss_lower_bound(f, levels) == max(expected, 0.0)
+
     def test_eps_list_validation(self):
         f = compute_field(Matrix.identity(2), GridSpec(-2, 2, -2, 2, 5, 5), workers=1)
         with pytest.raises(ValueError):
