@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 usage error, 3 input format error, 4 numerical
 failure. SPECTO_THREADS caps the grid-evaluation worker count (default:
 machine parallelism). Report and SVG outputs contain no timestamps or
 filesystem paths, so identical flags and seeds reproduce identical bytes;
---timing prints per-matrix wall time to stderr and leaves the outputs alone.
+--timing prints per-matrix wall time and evaluated grid nodes to stderr and
+leaves the outputs alone.
 """
 
 from __future__ import annotations
@@ -105,11 +106,15 @@ def cmd_analyze(args) -> int:
             raise FormatError(f"{name}: pseudospectrum analysis needs a square matrix, got {m.shape}")
         t0 = time.perf_counter()
         grid = _grid_for(args, m)
-        field = compute_field(m, grid, workers=args.workers)
+        field = compute_field(m, grid, eps, workers=args.workers)
         contours = extract_contours(field, eps)
         rep = build_matrix_report(name, m, field, contours, stability_tol=args.stability_tol)
         if args.timing:
-            print(f"{name}: {time.perf_counter() - t0:.6g} s", file=sys.stderr)
+            print(
+                f"{name}: {time.perf_counter() - t0:.6g} s, "
+                f"{int(field.exact.sum())} of {field.exact.size} nodes evaluated",
+                file=sys.stderr,
+            )
         write_contours_csv(out_dir / f"contours-{name}.csv", contours)
         (out_dir / f"portrait-{name}.svg").write_text(
             portrait_svg(name, field.eigenvalues, grid, contours), encoding="utf-8"
@@ -155,7 +160,7 @@ def cmd_compare(args) -> int:
         )
     before_name, after_name = _unique_names([f"before-{before_name}", f"after-{after_name}"])
     grid = _grid_for(args, before, after)
-    fields = [compute_field(m, grid, workers=args.workers) for m in (before, after)]
+    fields = [compute_field(m, grid, eps, workers=args.workers) for m in (before, after)]
     contours = [extract_contours(f, eps) for f in fields]
     reports = [
         build_matrix_report(n, m, f, c, stability_tol=args.stability_tol)
@@ -280,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     _grid_flags(p)
     p.add_argument("--stability-tol", type=float, default=DEFAULT_STABILITY_TOL)
-    p.add_argument("--timing", action="store_true", help="print each matrix's wall time to stderr")
+    p.add_argument("--timing", action="store_true", help="print each matrix's wall time and evaluated nodes to stderr")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("train", help="train a recurrent cell and track its spectrum")

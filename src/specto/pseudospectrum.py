@@ -37,9 +37,16 @@ __all__ = [
 ]
 
 # Nodes per SVD batch are capped so a chunk of shifted matrices stays within
-# a fixed memory budget; the chunking is independent of the worker count,
-# which keeps results bitwise identical under any parallel schedule.
-_CHUNK_SCALARS = 1 << 21
+# a fixed memory budget (2 MiB of complex scalars); the chunking is independent
+# of the worker count, which keeps results bitwise identical under any parallel
+# schedule.
+_CHUNK_SCALARS = 1 << 17
+
+# Rounding margin of the Lipschitz brackets, relative to ||W||_F + max|node|.
+# A computed singular value of W - lambda*I is off by a small multiple of
+# n * 1.1e-16 * ||W - lambda*I||_2, so 1e-12 covers the coarse value, the
+# node's own value and the distances for n up to a few thousand.
+_BRACKET_MARGIN = 1e-12
 
 DEFAULT_GRID_NODES = 200
 DEFAULT_GRID_PAD = 0.5
@@ -95,20 +102,38 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class PseudospectrumField:
-    """sigma_min(W - lambda*I) sampled at every node of ``grid``."""
+    """sigma_min(W - lambda*I) over the nodes of ``grid``, exact for ``levels``.
+
+    ``exact`` marks the nodes that hold sigma_min itself; every other node
+    holds a certified lower bound that lies on the same side of each of
+    ``levels`` as sigma_min, for both ``<`` and ``<=``, and its four grid
+    neighbours do too. ``levels=None`` means every node is exact.
+    """
 
     grid: GridSpec
     values: np.ndarray
     eigenvalues: np.ndarray
+    levels: tuple[float, ...] | None = None
+    exact: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.values.shape != (self.grid.nx, self.grid.ny):
+        shape = (self.grid.nx, self.grid.ny)
+        if self.values.shape != shape:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid "
                 f"({self.grid.nx}, {self.grid.ny})"
             )
         if not np.isfinite(self.values).all() or (self.values < 0).any():
             raise ValueError("field values must be finite and nonnegative")
+        if self.levels is not None:
+            object.__setattr__(self, "levels", check_levels(self.levels))
+        exact = np.ones(shape, dtype=bool) if self.exact is None else np.array(self.exact, dtype=bool)
+        if exact.shape != shape:
+            raise ValueError(f"exact mask shape {exact.shape} does not match grid {shape}")
+        if self.levels is None and not exact.all():
+            raise ValueError("a field without levels must be exact at every node")
+        exact.setflags(write=False)
+        object.__setattr__(self, "exact", exact)
 
 
 @dataclass(frozen=True)
@@ -137,6 +162,16 @@ def check_levels(levels) -> tuple[float, ...]:
     return levels
 
 
+def _require_levels(field: PseudospectrumField, levels) -> tuple[float, ...]:
+    """``levels`` as checked eps levels, each one a level the field is exact for."""
+    levels = check_levels(levels)
+    if field.levels is not None:
+        missing = [lev for lev in levels if lev not in field.levels]
+        if missing:
+            raise ValueError(f"eps levels {missing} are not among the field's levels {list(field.levels)}")
+    return levels
+
+
 def _sigma_min_stack(a: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Smallest singular value of (a - lam*I) for every lam in the batch."""
     n = a.shape[0]
@@ -159,36 +194,101 @@ def sigma_min_at(w: Matrix, lam: complex) -> float:
     return float(_sigma_min_stack(w.array, np.array([lam], dtype=np.complex128))[0])
 
 
-def compute_field(w: Matrix, grid: GridSpec, *, workers: int | None = None) -> PseudospectrumField:
-    """Evaluate sigma_min(W - lambda*I) at every grid node.
-
-    Runs a full SVD per node, batched through LAPACK. Node evaluations are
-    independent, so the work may fan out to threads; chunk boundaries are
-    fixed, which makes the result bitwise identical for every worker count.
-    """
-    if not w.is_square:
-        raise ValueError(f"compute_field requires a square matrix, got {w.shape}")
-    a = w.array
-    lams = np.ascontiguousarray(grid.nodes().reshape(-1))
+def _evaluate(a: np.ndarray, lams: np.ndarray, workers: int) -> np.ndarray:
+    """sigma_min(a - lam*I) for a flat array of nodes, in fixed-size chunks."""
     out = np.empty(lams.size)
-    chunk = max(1, _CHUNK_SCALARS // (w.rows * w.rows))
+    chunk = max(1, _CHUNK_SCALARS // a.size)
     spans = [(s, min(s + chunk, lams.size)) for s in range(0, lams.size, chunk)]
 
     def run(span):
         lo, hi = span
         out[lo:hi] = _sigma_min_stack(a, lams[lo:hi])
 
-    nworkers = resolve_workers(workers)
-    if nworkers == 1 or len(spans) == 1:
+    if workers == 1 or len(spans) <= 1:
         for span in spans:
             run(span)
     else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, spans))
+    return out
 
-    values = out.reshape(grid.nx, grid.ny)
+
+def _coarse_indices(n: int) -> np.ndarray:
+    """Every 4th index of an axis of ``n`` nodes, and the last one."""
+    return np.unique(np.r_[0:n:4, n - 1])
+
+
+def _around(coarse: np.ndarray, n: int):
+    """Positions in ``coarse`` of the coarse index at or below, and at or above, each index."""
+    k = np.arange(n)
+    return np.searchsorted(coarse, k, "right") - 1, np.searchsorted(coarse, k)
+
+
+def _brackets(grid: GridSpec, rows, cols, coarse: np.ndarray, margin: float):
+    """Bounds lo <= sigma_min <= hi at every node from the coarse values.
+
+    sigma_min(W - lambda*I) is 1-Lipschitz in lambda, so each of the four
+    coarse nodes around a node bounds it within their distance; ``margin``
+    covers the rounding of the coarse values and of the distances.
+    """
+    re, im = grid.re_axis(), grid.im_axis()
+    lo = np.full((grid.nx, grid.ny), -np.inf)
+    hi = np.full((grid.nx, grid.ny), np.inf)
+    for pr in _around(rows, grid.nx):
+        for pc in _around(cols, grid.ny):
+            dist = np.hypot((re - re[rows[pr]])[:, None], (im - im[cols[pc]])[None, :])
+            sigma = coarse[np.ix_(pr, pc)]
+            np.maximum(lo, sigma - dist, out=lo)
+            np.minimum(hi, sigma + dist, out=hi)
+    return lo - margin, hi + margin
+
+
+def compute_field(w: Matrix, grid: GridSpec, levels=None, *, workers: int | None = None) -> PseudospectrumField:
+    """sigma_min(W - lambda*I) at the grid nodes, exact wherever a level can cross.
+
+    A coarse pass evaluates every 4th grid row and column, plus the last
+    ones. As sigma_min is 1-Lipschitz in lambda, the four coarse values
+    around any other node bracket its sigma_min to [lo, hi], less a rounding
+    margin. A node is certified when no level lies within one grid step h
+    (the larger axis step) plus the margin of its bracket: the node and its
+    four neighbours are then on the same side of every level, so no crossed
+    edge touches it and contours, eps-radii and node counts at ``levels`` are
+    those of the exact field. A certified node stores max(lo, 0); a second
+    pass evaluates every other node. With ``levels=None`` no node is
+    certified and every node is evaluated.
+
+    Each node is a full SVD, batched through LAPACK in chunks of fixed size
+    that may fan out to threads, so the values are bitwise identical for
+    every worker count.
+    """
+    if not w.is_square:
+        raise ValueError(f"compute_field requires a square matrix, got {w.shape}")
+    if levels is not None:
+        levels = check_levels(levels)
+    a = w.array
+    nodes = grid.nodes()
+    nworkers = resolve_workers(workers)
+    rows, cols = _coarse_indices(grid.nx), _coarse_indices(grid.ny)
+    coarse = _evaluate(a, nodes[np.ix_(rows, cols)].reshape(-1), nworkers).reshape(rows.size, cols.size)
+
+    with np.errstate(over="ignore"):
+        margin = _BRACKET_MARGIN * (float(np.linalg.norm(a)) + float(np.abs(nodes).max()))
+        lo, hi = _brackets(grid, rows, cols, coarse, margin)
+        slack = max(grid.step) + margin
+        if levels is None:
+            crossable = np.ones(nodes.shape, dtype=bool)
+        else:  # some level lies in [lo - slack, hi + slack]
+            crossable = np.searchsorted(levels, hi + slack, "right") > np.searchsorted(levels, lo - slack)
+    on_coarse = np.zeros(nodes.shape, dtype=bool)
+    on_coarse[np.ix_(rows, cols)] = True
+    rest = crossable & ~on_coarse
+    values = np.maximum(lo, 0.0)
+    values[np.ix_(rows, cols)] = coarse
+    values[rest] = _evaluate(a, nodes[rest], nworkers)
     values.setflags(write=False)
-    return PseudospectrumField(grid=grid, values=values, eigenvalues=eigenvalues(w))
+    return PseudospectrumField(
+        grid=grid, values=values, eigenvalues=eigenvalues(w), levels=levels, exact=crossable | on_coarse
+    )
 
 
 def auto_grid(
@@ -300,7 +400,7 @@ def extract_contours(field: PseudospectrumField, levels) -> ContourSet:
     closed loops, which repeat their first vertex. A level below the field
     minimum gives no polylines.
     """
-    levels = check_levels(levels)
+    levels = _require_levels(field, levels)
     re_ax, im_ax = field.grid.re_axis(), field.grid.im_axis()
     groups = tuple(tuple(_level_polylines(field.values, re_ax, im_ax, lev)) for lev in levels)
     return ContourSet(levels=levels, polylines=groups)
@@ -324,7 +424,7 @@ def pseudospectral_radius(field: PseudospectrumField, eps: float) -> float:
     A grid-based lower approximation. When no node qualifies the exact
     eigenvalues are used as a fallback (they always belong to sigma_eps).
     """
-    (eps,) = check_levels([eps])
+    (eps,) = _require_levels(field, [eps])
     return _radius_within(field, np.abs(field.grid.nodes()), eps)
 
 
@@ -335,7 +435,7 @@ def kreiss_lower_bound(field: PseudospectrumField, eps_list) -> float:
     and through the grid-based rho_eps; clamped at zero.
     """
     radii = np.abs(field.grid.nodes())
-    best = max((_radius_within(field, radii, e) - 1.0) / e for e in check_levels(eps_list))
+    best = max((_radius_within(field, radii, e) - 1.0) / e for e in _require_levels(field, eps_list))
     if not np.isfinite(best):
         raise NumericalError("Kreiss lower bound overflowed: (rho_eps - 1)/eps is past the float range")
     return max(best, 0.0)

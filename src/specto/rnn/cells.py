@@ -412,8 +412,18 @@ def backward(cell: CellParams, seq: np.ndarray, target, task: str) -> dict[str, 
     return grads
 
 
-def predictions(cell: CellParams, inputs: np.ndarray, chunk: int = 512) -> np.ndarray:
+# Doubles in the (T, gates*hidden, chunk) activation buffer of one forward pass in
+# `predictions` (4 MiB). A larger block, once freed, raises glibc's dynamic mmap
+# threshold, and the heap then keeps later large temporaries resident: a GRU
+# train followed by analyze in one process peaked 18 MB higher at 512 sequences
+# per pass (19.7 MB buffers).
+_EVAL_SCALARS = 1 << 19
+
+
+def predictions(cell: CellParams, inputs: np.ndarray) -> np.ndarray:
     """Readout logits for many sequences, evaluated in memory-bounded chunks."""
+    steps = inputs.shape[1]
+    chunk = max(1, _EVAL_SCALARS // max(1, steps * len(cell.gates) * cell.hidden))
     outs = []
     for lo in range(0, inputs.shape[0], chunk):
         _, logits, _ = forward_batch(cell, inputs[lo : lo + chunk])
@@ -421,20 +431,10 @@ def predictions(cell: CellParams, inputs: np.ndarray, chunk: int = 512) -> np.nd
     return np.concatenate(outs, axis=0)
 
 
-# Doubles in the (T, gates*hidden, chunk) activation buffer of one forward pass in
-# `accuracy` (4 MiB). A larger block, once freed, raises glibc's dynamic mmap
-# threshold, and the heap then keeps later large temporaries resident: a GRU
-# train followed by analyze in one process peaked 18 MB higher at 512 sequences
-# per pass (19.7 MB buffers).
-_EVAL_SCALARS = 1 << 19
-
-
 def accuracy(cell: CellParams, data, task: str | None = None, tol: float = 0.04) -> float:
     """Fraction correct: |prediction - target| <= tol (adding) or argmax (mnist)."""
     task = task or data.task
-    steps = data.inputs.shape[1]
-    chunk = max(1, _EVAL_SCALARS // max(1, steps * len(cell.gates) * cell.hidden))
-    logits = predictions(cell, data.inputs, chunk)
+    logits = predictions(cell, data.inputs)
     if task == "adding":
         return float(np.mean(np.abs(logits[:, 0] - data.targets) <= tol))
     if task == "mnist":

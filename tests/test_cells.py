@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit as sigmoid
 
+import specto.rnn.cells as cells
 from specto import Matrix, jacobian_norm_bound_check, two_norm
 from specto.rnn import (
     GATE_ORDER,
@@ -15,6 +16,7 @@ from specto.rnn import (
     init_cell,
     loss,
     param_items,
+    predictions,
     rnn_jacobian_product_norms,
 )
 
@@ -410,6 +412,24 @@ class TestAccuracy:
         data = Dataset(inputs, labels, "mnist")
         cell = init_cell("rnn", 5, 8, 10, seed=1)
         assert accuracy(cell, data, "mnist") == pytest.approx(0.1, abs=0.04)
+
+
+class TestPredictions:
+    def test_forward_passes_stay_within_the_buffer_bound(self, monkeypatch):
+        data = generate_adding(600, 50, seed=0)
+        cell = init_cell("gru", 2, 32, 1, seed=0)  # the CLI's default GRU
+        _, whole, _ = forward_batch(cell, data.inputs)
+        sizes = []
+
+        def recording(c, inputs):
+            sizes.append(inputs.shape[0])
+            return forward_batch(c, inputs)
+
+        monkeypatch.setattr(cells, "forward_batch", recording)
+        logits = predictions(cell, data.inputs)
+        assert sum(sizes) == 600 and len(sizes) > 1
+        assert max(sizes) * 50 * 3 * 32 <= 1 << 19  # (T, gates*hidden, batch) doubles: 4 MiB
+        assert_scaled_close(logits, whole)
 
 
 class TestGateExtraction:

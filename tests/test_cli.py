@@ -19,6 +19,7 @@ from specto import (
     serialize_report,
     write_matrix_file,
 )
+import specto.cli as cli
 from specto.cli import main
 from specto.rnn import synthetic_digits, write_idx_images, write_idx_labels
 
@@ -158,8 +159,10 @@ class TestAnalyze:
         assert run(["analyze", identity_csv, "--out", out1, "--nx", "21", "--ny", "21"]) == 0
         assert capsys.readouterr().err == ""
         assert run(["analyze", identity_csv, "--out", out2, "--nx", "21", "--ny", "21", "--timing"]) == 0
-        name, seconds, unit = capsys.readouterr().err.split()
-        assert name == "ident:" and float(seconds) > 0 and unit == "s"
+        name, seconds, unit, evaluated, of, total, *rest = capsys.readouterr().err.split()
+        assert name == "ident:" and float(seconds) > 0 and unit == "s,"
+        assert of == "of" and rest == ["nodes", "evaluated"]
+        assert 0 < int(evaluated) <= int(total) == 21 * 21
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
     @pytest.mark.parametrize(
@@ -260,6 +263,37 @@ class TestCompare:
         big = tmp_path / "big.csv"
         big.write_text("1,0,0\n0,1,0\n0,0,1\n")
         assert run(["compare", identity_csv, big, "--out", tmp_path / "o"]) == 3
+
+
+class TestCertifiedField:
+    @pytest.mark.parametrize("eps", [[], ["--eps", "0.02,0.15,0.4"]])
+    def test_outputs_match_the_exact_field(self, tmp_path, rng, capsys, monkeypatch, eps):
+        paths = []
+        for k, scale in enumerate((0.3, 0.6)):
+            paths.append(tmp_path / f"w{k}.pspc")
+            write_matrix_file(paths[-1], Matrix(rng.standard_normal((8, 8)) * scale), name=f"w{k}")
+        compute_field, evaluated = cli.compute_field, []
+
+        def certified(m, grid, levels=None, *, workers=None):
+            field = compute_field(m, grid, levels, workers=workers)
+            evaluated.append(field.exact.mean())
+            return field
+
+        def exact(m, grid, levels=None, *, workers=None):
+            return compute_field(m, grid, workers=workers)
+
+        runs = {}
+        for tag, patched in (("certified", certified), ("exact", exact)):
+            monkeypatch.setattr(cli, "compute_field", patched)
+            out = tmp_path / tag
+            grid = ["--nx", "61", "--ny", "53", *eps]
+            assert run(["analyze", *paths, "--out", out / "ana", *grid]) == 0
+            assert run(["compare", *paths, "--out", out / "cmp", *grid]) == 0
+            files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+            runs[tag] = (files, capsys.readouterr())
+        assert len(evaluated) == 4 and max(evaluated) < 1.0  # every field skipped some nodes
+        assert sorted(runs["certified"][0]) == sorted(runs["exact"][0])
+        assert runs["certified"] == runs["exact"]
 
 
 class TestTrain:

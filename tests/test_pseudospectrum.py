@@ -12,6 +12,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specto.pseudospectrum as pseudospectrum
 from specto import (
     ContourSet,
     GridSpec,
@@ -158,6 +159,117 @@ class TestComputeField:
         small = f.values <= 0.1
         large = f.values <= 0.4
         assert not (small & ~large).any()
+
+
+def _certified_case(seed):
+    """A seeded random matrix, grid (auto or clipped) and 1-6 eps levels that cross it."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    w = random_matrix(rng, n, complex_entries=bool(rng.integers(2)), scale=float(rng.uniform(0.2, 2.0)))
+    nx, ny = (int(k) for k in rng.integers(2, 46, size=2))
+    if rng.integers(2):
+        grid = auto_grid(w, nx=nx, ny=ny)
+    else:  # a box that clips the spectrum
+        z = complex(eigenvalues(w)[rng.integers(n)])
+        half = rng.uniform(0.05, 1.0, size=2)
+        grid = GridSpec(z.real - half[0], z.real + half[0] * rng.uniform(0.2, 1.0), z.imag - half[1], z.imag + half[1], nx, ny)
+    sigma = compute_field(w, grid, workers=1).values
+    picks = np.unique(np.quantile(sigma, rng.uniform(0.0, 1.0, size=int(rng.integers(1, 7)))))
+    return w, grid, tuple(float(v) for v in picks[picks > 0]) or (0.1,)
+
+
+def _edge_nodes(inside):
+    """Nodes at either end of a grid edge whose two nodes disagree."""
+    across = inside[:-1, :] != inside[1:, :]
+    up = inside[:, :-1] != inside[:, 1:]
+    touched = np.zeros_like(inside)
+    touched[:-1][across] = touched[1:][across] = True
+    touched[:, :-1][up] = touched[:, 1:][up] = True
+    return touched
+
+
+def _assert_certified_like_full(w, grid, levels):
+    full = compute_field(w, grid, workers=1)
+    f = compute_field(w, grid, levels, workers=1)
+    exact = f.exact
+    assert f.levels == levels and not exact.flags.writeable
+    assert np.array_equal(f.values[exact], full.values[exact])
+    assert (f.values[~exact] <= full.values[~exact]).all()
+    for lev in levels:
+        for side in (np.less, np.less_equal):
+            assert np.array_equal(side(f.values, lev), side(full.values, lev))
+            assert exact[_edge_nodes(side(full.values, lev))].all()
+        assert pseudospectral_radius(f, lev) == pseudospectral_radius(full, lev)
+        assert int((f.values <= lev).sum()) == int((full.values <= lev).sum())
+    got, want = extract_contours(f, levels), extract_contours(full, levels)
+    assert [len(g) for g in got.polylines] == [len(g) for g in want.polylines]
+    for g, h in zip(got.polylines, want.polylines):
+        assert all(np.array_equal(a, b) for a, b in zip(g, h))
+    assert kreiss_lower_bound(f, levels) == kreiss_lower_bound(full, levels)
+    return int((~exact).sum())
+
+
+class TestCertifiedField:
+    def test_random_cases_match_the_full_field(self):
+        certified = [_assert_certified_like_full(*_certified_case(seed)) for seed in range(150)]
+        assert sum(k > 0 for k in certified) >= 50  # the skipping is exercised
+
+    def test_jordan_block(self):
+        grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41)
+        assert _assert_certified_like_full(JORDAN2, grid, (1e-3, 1e-2, 0.1, 0.3)) > 0
+
+    def test_node_on_an_eigenvalue(self):
+        grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21)  # node (15, 10) is 0.5 + 0j, off the coarse grid
+        w = Matrix.diag([0.5, -0.5])
+        assert compute_field(w, grid, workers=1).values[15, 10] == 0.0
+        assert _assert_certified_like_full(w, grid, (1e-3, 0.05)) > 0
+
+    def test_no_levels_means_every_node_exact(self, rng):
+        f = compute_field(random_matrix(rng, 4), GridSpec(-2, 2, -2, 2, 23, 19), workers=1)
+        assert f.levels is None and f.exact.all()
+
+    def test_values_do_not_depend_on_worker_count(self, rng):
+        w = random_matrix(rng, 32, scale=0.2)
+        grid = auto_grid(w, nx=41, ny=37)
+        base = compute_field(w, grid, (1e-2, 0.1), workers=1)
+        assert not base.exact.all()
+        for k in (2, 3):
+            again = compute_field(w, grid, (1e-2, 0.1), workers=k)
+            assert np.array_equal(again.values, base.values)
+            assert np.array_equal(again.exact, base.exact)
+
+    def test_level_outside_the_field_levels_rejected(self, rng):
+        w = random_matrix(rng, 4)
+        f = compute_field(w, auto_grid(w, nx=21, ny=21), (0.01, 0.1), workers=1)
+        for call in (
+            lambda: extract_contours(f, [0.01, 0.2]),
+            lambda: pseudospectral_radius(f, 0.05),
+            lambda: kreiss_lower_bound(f, [0.1, 1.0]),
+        ):
+            with pytest.raises(ValueError, match="not among the field's levels"):
+                call()
+        assert extract_contours(f, [0.1]).levels == (0.1,)
+
+    def test_field_mask_validation(self):
+        grid = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
+        values, eigs = np.ones((2, 2)), np.zeros(1, complex)
+        with pytest.raises(ValueError, match="exact mask shape"):
+            PseudospectrumField(grid, values, eigs, (0.5,), np.ones((3, 2), bool))
+        with pytest.raises(ValueError, match="without levels"):
+            PseudospectrumField(grid, values, eigs, None, np.eye(2, dtype=bool))
+
+    def test_svd_chunks_stay_within_the_memory_bound(self, monkeypatch, rng):
+        stack, calls = pseudospectrum._sigma_min_stack, []
+
+        def recording(a, lams):
+            calls.append(lams.size * a.size)
+            return stack(a, lams)
+
+        monkeypatch.setattr(pseudospectrum, "_sigma_min_stack", recording)
+        w = random_matrix(rng, 32, scale=0.2)
+        f = compute_field(w, auto_grid(w, nx=45, ny=45), (1e-2, 0.1), workers=2)
+        assert len(calls) > 2 and max(calls) <= 1 << 17
+        assert sum(calls) == int(f.exact.sum()) * 32 * 32
 
 
 class TestAutoGrid:
