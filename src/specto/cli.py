@@ -112,7 +112,7 @@ def cmd_analyze(args) -> int:
         if args.timing:
             print(
                 f"{name}: {time.perf_counter() - t0:.6g} s, "
-                f"{int(field.exact.sum())} of {field.exact.size} nodes evaluated",
+                f"{field.evaluated} of {field.exact.size} nodes evaluated",
                 file=sys.stderr,
             )
         write_contours_csv(out_dir / f"contours-{name}.csv", contours)

@@ -107,7 +107,11 @@ class PseudospectrumField:
     ``exact`` marks the nodes that hold sigma_min itself; every other node
     holds a certified lower bound that lies on the same side of each of
     ``levels`` as sigma_min, for both ``<`` and ``<=``, and its four grid
-    neighbours do too. ``levels=None`` means every node is exact.
+    neighbours do too. ``levels=None`` means every node is exact. On a field
+    folded across the real axis (see ``compute_field``) an exact node holds
+    sigma_min at a point within a few ulps of the node. ``evaluated`` is the
+    number of sigma_min evaluations the field took, ``exact.sum()`` by
+    default; a folded field evaluates about half of its exact nodes.
     """
 
     grid: GridSpec
@@ -115,6 +119,7 @@ class PseudospectrumField:
     eigenvalues: np.ndarray
     levels: tuple[float, ...] | None = None
     exact: np.ndarray | None = None
+    evaluated: int | None = None
 
     def __post_init__(self):
         shape = (self.grid.nx, self.grid.ny)
@@ -134,6 +139,10 @@ class PseudospectrumField:
             raise ValueError("a field without levels must be exact at every node")
         exact.setflags(write=False)
         object.__setattr__(self, "exact", exact)
+        evaluated = int(exact.sum()) if self.evaluated is None else int(self.evaluated)
+        if not 0 <= evaluated <= exact.sum():
+            raise ValueError(f"evaluated count {evaluated} is not within 0..{int(exact.sum())} exact nodes")
+        object.__setattr__(self, "evaluated", evaluated)
 
 
 @dataclass(frozen=True)
@@ -257,6 +266,16 @@ def compute_field(w: Matrix, grid: GridSpec, levels=None, *, workers: int | None
     pass evaluates every other node. With ``levels=None`` no node is
     certified and every node is evaluated.
 
+    A real W on a box with im_min == -im_max is folded across the real axis:
+    sigma_min(W - conj(lambda)*I) = sigma_min(W - lambda*I), so sigma_min is
+    evaluated only on the columns j >= ny-1-j (im >= 0), and column j reads
+    column ny-1-j. The coarse columns are every 4th one counted outward from
+    the middle, plus the end ones, so they fold onto each other, and a node
+    is exact when it or its mirror is. The linspace axis is antisymmetric
+    only to a few ulps, so a folded value is sigma_min at a point within
+    ``skew`` = max_j |im_j + im_(ny-1-j)| of its node, and ``skew`` widens
+    the bracket margin. ``field.evaluated`` counts the sigma_min evaluations.
+
     Each node is a full SVD, batched through LAPACK in chunks of fixed size
     that may fan out to threads, so the values are bitwise identical for
     every worker count.
@@ -268,26 +287,40 @@ def compute_field(w: Matrix, grid: GridSpec, levels=None, *, workers: int | None
     a = w.array
     nodes = grid.nodes()
     nworkers = resolve_workers(workers)
-    rows, cols = _coarse_indices(grid.nx), _coarse_indices(grid.ny)
-    coarse = _evaluate(a, nodes[np.ix_(rows, cols)].reshape(-1), nworkers).reshape(rows.size, cols.size)
+    rows, cols, skew = _coarse_indices(grid.nx), _coarse_indices(grid.ny), 0.0
+    mirror = np.arange(grid.ny)  # column j reads its values from column mirror[j]
+    if w.is_real and grid.im_min == -grid.im_max:
+        mirror = mirror[::-1]
+        im = grid.im_axis()
+        skew = float(np.abs(im + im[mirror]).max())
+        upper = np.r_[grid.ny // 2 : grid.ny : 4, grid.ny - 1]
+        cols = np.union1d(upper, mirror[upper])
+    own = np.arange(grid.ny) >= mirror  # the columns sigma_min is evaluated on
+    values = np.zeros(nodes.shape)
 
+    def evaluate(mask):
+        mask = mask & own
+        values[mask] = _evaluate(a, nodes[mask], nworkers)
+        values[:, ~own] = values[:, mirror[~own]]
+        return int(mask.sum())
+
+    on_coarse = np.zeros(nodes.shape, dtype=bool)
+    on_coarse[np.ix_(rows, cols)] = True
+    evaluated = evaluate(on_coarse)
     with np.errstate(over="ignore"):
-        margin = _BRACKET_MARGIN * (float(np.linalg.norm(a)) + float(np.abs(nodes).max()))
-        lo, hi = _brackets(grid, rows, cols, coarse, margin)
+        margin = _BRACKET_MARGIN * (float(np.linalg.norm(a)) + float(np.abs(nodes).max())) + skew
+        lo, hi = _brackets(grid, rows, cols, values[np.ix_(rows, cols)], margin)
         slack = max(grid.step) + margin
         if levels is None:
             crossable = np.ones(nodes.shape, dtype=bool)
         else:  # some level lies in [lo - slack, hi + slack]
             crossable = np.searchsorted(levels, hi + slack, "right") > np.searchsorted(levels, lo - slack)
-    on_coarse = np.zeros(nodes.shape, dtype=bool)
-    on_coarse[np.ix_(rows, cols)] = True
-    rest = crossable & ~on_coarse
-    values = np.maximum(lo, 0.0)
-    values[np.ix_(rows, cols)] = coarse
-    values[rest] = _evaluate(a, nodes[rest], nworkers)
+    exact = crossable | crossable[:, mirror] | on_coarse
+    evaluated += evaluate(exact & ~on_coarse)
+    values = np.where(exact, values, np.maximum(lo, 0.0))
     values.setflags(write=False)
     return PseudospectrumField(
-        grid=grid, values=values, eigenvalues=eigenvalues(w), levels=levels, exact=crossable | on_coarse
+        grid=grid, values=values, eigenvalues=eigenvalues(w), levels=levels, exact=exact, evaluated=evaluated
     )
 
 
@@ -302,13 +335,17 @@ def auto_grid(
     The unit disk is always included so portraits show the stability
     boundary of the discrete dynamics regardless of where the eigenvalues
     sit. With several matrices the box is their shared grid: it equals the
-    union of the boxes of each matrix on its own.
+    union of the boxes of each matrix on its own. A real matrix's
+    eigenvalues count together with their conjugates, as the complex Schur
+    form does not return exact conjugate pairs, so its box is symmetric
+    about the real axis to the bit and ``compute_field`` can fold it.
     """
     if not ws:
         raise ValueError("auto_grid needs at least one matrix")
     if not (pad >= 0 and math.isfinite(pad)):
         raise ValueError("pad must be finite and nonnegative")
-    evs = np.concatenate([eigenvalues(w) for w in ws])
+    spectra = [eigenvalues(w) for w in ws]
+    evs = np.concatenate([np.r_[ev, ev.conj()] if w.is_real else ev for w, ev in zip(ws, spectra)])
     re_min = min(float(evs.real.min()), -1.0) - pad
     re_max = max(float(evs.real.max()), 1.0) + pad
     im_min = min(float(evs.imag.min()), -1.0) - pad

@@ -20,6 +20,7 @@ from specto import (
     write_matrix_file,
 )
 import specto.cli as cli
+import specto.pseudospectrum as pseudospectrum
 from specto.cli import main
 from specto.rnn import synthetic_digits, write_idx_images, write_idx_labels
 
@@ -164,6 +165,26 @@ class TestAnalyze:
         assert of == "of" and rest == ["nodes", "evaluated"]
         assert 0 < int(evaluated) <= int(total) == 21 * 21
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+    def test_timing_counts_the_svds_that_ran(self, tmp_path, rng, capsys, monkeypatch):
+        path = tmp_path / "w.pspc"
+        write_matrix_file(path, Matrix(rng.standard_normal((6, 6)) * 0.4), name="w")
+        stack, compute_field, sizes, fields = pseudospectrum._sigma_min_stack, cli.compute_field, [], []
+
+        def recording(a, lams):
+            sizes.append(lams.size)
+            return stack(a, lams)
+
+        def kept(*args, **kwargs):
+            fields.append(compute_field(*args, **kwargs))
+            return fields[-1]
+
+        monkeypatch.setattr(pseudospectrum, "_sigma_min_stack", recording)
+        monkeypatch.setattr(cli, "compute_field", kept)
+        assert run(["analyze", path, "--out", tmp_path / "o", "--nx", "41", "--ny", "41", "--timing"]) == 0
+        evaluated = int(capsys.readouterr().err.split()[3])
+        assert evaluated == sum(sizes) == fields[0].evaluated
+        assert evaluated < int(fields[0].exact.sum())  # a real matrix on its auto grid is folded
 
     @pytest.mark.parametrize(
         "text, eps, overflow",

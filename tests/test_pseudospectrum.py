@@ -32,6 +32,7 @@ from specto import (
     sigma_min_at,
     two_norm,
 )
+from specto.cli import DEFAULT_EPS_LEVELS
 
 JORDAN2 = Matrix([[0.0, 1.0], [0.0, 0.0]])
 JORDAN_HALF_SIGMA = (np.sqrt(2) - 1) / 2  # sigma_min([[−0.5,1],[0,−0.5]])
@@ -131,12 +132,15 @@ class TestComputeField:
         assert f.values[3, 2] == pytest.approx(JORDAN_HALF_SIGMA, abs=1e-12)
 
     def test_matches_pointwise_kernel_exactly(self, rng):
-        w = random_matrix(rng, 5)
-        g = GridSpec(-2.0, 2.0, -2.0, 2.0, 13, 11)
-        f = compute_field(w, g, workers=1)
-        nodes = g.nodes()
-        for i, j in ((0, 0), (5, 7), (12, 10), (3, 2)):
-            assert f.values[i, j] == sigma_min_at(w, nodes[i, j])
+        # neither a complex W nor a box that is not symmetric about the real axis is folded
+        for complex_entries, im_max in ((True, 2.0), (False, 2.1)):
+            w = random_matrix(rng, 5, complex_entries=complex_entries)
+            g = GridSpec(-2.0, 2.0, -2.0, im_max, 13, 11)
+            f = compute_field(w, g, workers=1)
+            nodes = g.nodes()
+            assert f.evaluated == f.exact.size
+            for i, j in np.ndindex(*nodes.shape):
+                assert f.values[i, j] == sigma_min_at(w, nodes[i, j])
 
     def test_deterministic_across_worker_counts(self, rng):
         w = random_matrix(rng, 16)
@@ -257,6 +261,10 @@ class TestCertifiedField:
             PseudospectrumField(grid, values, eigs, (0.5,), np.ones((3, 2), bool))
         with pytest.raises(ValueError, match="without levels"):
             PseudospectrumField(grid, values, eigs, None, np.eye(2, dtype=bool))
+        assert PseudospectrumField(grid, values, eigs, (0.5,), np.eye(2, dtype=bool)).evaluated == 2
+        for evaluated in (-1, 3):
+            with pytest.raises(ValueError, match="evaluated count"):
+                PseudospectrumField(grid, values, eigs, (0.5,), np.eye(2, dtype=bool), evaluated)
 
     def test_svd_chunks_stay_within_the_memory_bound(self, monkeypatch, rng):
         stack, calls = pseudospectrum._sigma_min_stack, []
@@ -270,6 +278,98 @@ class TestCertifiedField:
         f = compute_field(w, auto_grid(w, nx=45, ny=45), (1e-2, 0.1), workers=2)
         assert len(calls) > 2 and max(calls) <= 1 << 17
         assert sum(calls) == int(f.exact.sum()) * 32 * 32
+
+
+class _SkewedGrid(GridSpec):
+    """A grid whose imaginary axis is shifted by SKEW / 2 off antisymmetry."""
+
+    SKEW = 1e-3
+
+    def im_axis(self):
+        return super().im_axis() + self.SKEW / 2
+
+
+def _svd_batch_sizes(monkeypatch):
+    """Record the batch size of every sigma_min kernel call."""
+    stack, sizes = pseudospectrum._sigma_min_stack, []
+
+    def recording(a, lams):
+        sizes.append(lams.size)
+        return stack(a, lams)
+
+    monkeypatch.setattr(pseudospectrum, "_sigma_min_stack", recording)
+    return sizes
+
+
+def _skew(grid):
+    im = grid.im_axis()
+    return float(np.abs(im + im[::-1]).max())
+
+
+class TestConjugateFold:
+    @pytest.mark.parametrize("ny", [2, 3, 4, 5, 200])
+    def test_folded_values_are_sigma_min_near_their_node(self, rng, monkeypatch, ny):
+        w = random_matrix(rng, 6, complex_entries=False)
+        grid = GridSpec(-2.0, 2.0, -1.7, 1.7, 7, ny)
+        sizes = _svd_batch_sizes(monkeypatch)
+        f = compute_field(w, grid, workers=1)
+        assert f.exact.all() and f.evaluated == sum(sizes) == 7 * ((ny + 1) // 2)
+        nodes, im = grid.nodes(), grid.im_axis()
+        tol = _skew(grid) + 1e-13 * (float(np.linalg.norm(w.array)) + float(np.abs(nodes).max()))
+        for i, j in np.ndindex(*nodes.shape):
+            want = sigma_min_at(w, nodes[i, j])
+            if im[j] == -im[ny - 1 - j]:
+                assert f.values[i, j] == want
+            else:
+                assert abs(f.values[i, j] - want) <= tol
+        assert np.array_equal(f.values, f.values[:, ::-1])
+
+    def test_certified_values_hold_with_a_skewed_axis(self):
+        # the bracket margin must cover the distance between a node and its mirror's conjugate
+        levels = (0.02, 0.1, 0.3)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            w = random_matrix(rng, 4, complex_entries=False, scale=0.6) if seed else Matrix.diag([0.3, -0.5])
+            grid = _SkewedGrid(-1.5, 1.5, -1.5, 1.5, 41, 41)
+            assert _skew(grid) == pytest.approx(_SkewedGrid.SKEW, rel=1e-9)
+            f = compute_field(w, grid, levels, workers=1)
+            nodes = grid.nodes()
+            tol = _SkewedGrid.SKEW + 1e-13 * (float(np.linalg.norm(w.array)) + float(np.abs(nodes).max()))
+            assert not f.exact.all()
+            for i, j in np.ndindex(*nodes.shape):
+                want = sigma_min_at(w, nodes[i, j])
+                if f.exact[i, j]:
+                    assert abs(f.values[i, j] - want) <= tol
+                else:
+                    assert f.values[i, j] <= want
+                    for lev in levels:
+                        assert (f.values[i, j] < lev) == (want < lev)
+                        assert (f.values[i, j] <= lev) == (want <= lev)
+            _assert_certified_like_full(w, grid, levels)
+
+    def test_values_do_not_depend_on_worker_count(self, rng):
+        w = random_matrix(rng, 16, complex_entries=False, scale=0.25)
+        grid = auto_grid(w, nx=37, ny=40)
+        base = compute_field(w, grid, (1e-2, 0.1), workers=1)
+        assert base.evaluated < base.exact.sum() < base.exact.size
+        for k in (2, 3):
+            again = compute_field(w, grid, (1e-2, 0.1), workers=k)
+            assert np.array_equal(again.values, base.values)
+            assert np.array_equal(again.exact, base.exact)
+            assert again.evaluated == base.evaluated
+
+    def test_halves_the_svds_of_a_real_gate(self, rng, monkeypatch):
+        w = random_matrix(rng, 32, complex_entries=False, scale=0.18)
+        grid = auto_grid(w)
+        assert grid.im_min == -grid.im_max
+        unfolded = GridSpec(grid.re_min, grid.re_max, grid.im_min, np.nextafter(grid.im_max, np.inf))
+        counts = []
+        for g in (grid, unfolded):
+            sizes = _svd_batch_sizes(monkeypatch)
+            f = compute_field(w, g, DEFAULT_EPS_LEVELS, workers=2)
+            assert f.evaluated == sum(sizes)
+            counts.append(sum(sizes))
+        assert counts[0] <= 0.55 * counts[1]
 
 
 class TestAutoGrid:
@@ -296,6 +396,34 @@ class TestAutoGrid:
             assert both.im_min == min(ga.im_min, gb.im_min)
             assert both.im_max == max(ga.im_max, gb.im_max)
             assert (both.nx, both.ny) == (7, 9)
+
+    def test_real_spectrum_gives_a_symmetric_box(self, rng):
+        for _ in range(10):
+            w = random_matrix(rng, 7, complex_entries=False, scale=1.5)
+            assert np.abs(eigenvalues(w).imag).max() > 1.0
+            g = auto_grid(w, pad=0.3)
+            assert g.im_min == -g.im_max
+
+    def test_complex_spectrum_box_unchanged(self, rng):
+        for _ in range(10):
+            w = random_matrix(rng, 6, scale=1.2)
+            ev = eigenvalues(w)
+            g = auto_grid(w, pad=0.3)
+            assert g.im_min == min(float(ev.imag.min()), -1.0) - 0.3
+            assert g.im_max == max(float(ev.imag.max()), 1.0) + 0.3
+            assert g.re_min == min(float(ev.real.min()), -1.0) - 0.3
+            assert g.re_max == max(float(ev.real.max()), 1.0) + 0.3
+
+    def test_mixed_shared_grid_is_union_of_boxes(self, rng):
+        for _ in range(10):
+            a = random_matrix(rng, 5, complex_entries=False, scale=rng.uniform(0.5, 3.0))
+            b = random_matrix(rng, 5, scale=rng.uniform(0.5, 3.0))
+            both = auto_grid(a, b, pad=0.3)
+            ga, gb = auto_grid(a, pad=0.3), auto_grid(b, pad=0.3)
+            assert both.re_min == min(ga.re_min, gb.re_min)
+            assert both.re_max == max(ga.re_max, gb.re_max)
+            assert both.im_min == min(ga.im_min, gb.im_min)
+            assert both.im_max == max(ga.im_max, gb.im_max)
 
     def test_needs_a_matrix(self):
         with pytest.raises(ValueError):
