@@ -44,9 +44,12 @@ _CHUNK_SCALARS = 1 << 17
 
 # Rounding margin of the Lipschitz brackets, relative to ||W||_F + max|node|.
 # A computed singular value of W - lambda*I is off by a small multiple of
-# n * 1.1e-16 * ||W - lambda*I||_2, so 1e-12 covers the coarse value, the
+# n * 1.1e-16 * ||W - lambda*I||_2, so 1e-12 covers a lattice value, the
 # node's own value and the distances for n up to a few thousand.
 _BRACKET_MARGIN = 1e-12
+
+# Steps of the lattices on which compute_field refines the field, coarsest first.
+_LATTICE_STEPS = (8, 4, 2)
 
 DEFAULT_GRID_NODES = 200
 DEFAULT_GRID_PAD = 0.5
@@ -183,10 +186,11 @@ def _require_levels(field: PseudospectrumField, levels) -> tuple[float, ...]:
 
 def _sigma_min_stack(a: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Smallest singular value of (a - lam*I) for every lam in the batch."""
-    n = a.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
+    k, n = lams.size, a.shape[0]
+    shifted = np.empty((k, n, n), dtype=np.complex128)
+    shifted[...] = a
     with np.errstate(over="ignore", invalid="ignore"):
-        shifted = a[None, :, :] - lams[:, None, None] * eye[None, :, :]
+        shifted.reshape(k, n * n)[:, :: n + 1] -= lams[:, None]  # the diagonals
         try:
             sigma = np.linalg.svd(shifted, compute_uv=False)[:, -1]
         except np.linalg.LinAlgError as exc:
@@ -222,59 +226,86 @@ def _evaluate(a: np.ndarray, lams: np.ndarray, workers: int) -> np.ndarray:
     return out
 
 
-def _coarse_indices(n: int) -> np.ndarray:
-    """Every 4th index of an axis of ``n`` nodes, and the last one."""
-    return np.unique(np.r_[0:n:4, n - 1])
+def _lattice(n: int, step: int, folded: bool) -> np.ndarray:
+    """Every ``step``-th index of an axis of ``n`` nodes, and the end ones.
+
+    On a folded axis the indices count outward from the middle, so they fold
+    onto each other.
+    """
+    if not folded:
+        return np.unique(np.r_[0:n:step, n - 1])
+    upper = np.r_[n // 2 : n : step, n - 1]
+    return np.union1d(upper, n - 1 - upper)
 
 
-def _around(coarse: np.ndarray, n: int):
-    """Positions in ``coarse`` of the coarse index at or below, and at or above, each index."""
-    k = np.arange(n)
-    return np.searchsorted(coarse, k, "right") - 1, np.searchsorted(coarse, k)
+def _around(lattice: np.ndarray, at: np.ndarray):
+    """Positions in ``lattice`` of the index at or below, and at or above, each index in ``at``."""
+    return np.searchsorted(lattice, at, "right") - 1, np.searchsorted(lattice, at)
 
 
-def _brackets(grid: GridSpec, rows, cols, coarse: np.ndarray, margin: float):
-    """Bounds lo <= sigma_min <= hi at every node from the coarse values.
+def _brackets(grid: GridSpec, rows, cols, lo: np.ndarray, hi: np.ndarray, at_rows, at_cols):
+    """Bounds on sigma_min at the nodes at_rows x at_cols from bounds [lo, hi] at rows x cols.
 
     sigma_min(W - lambda*I) is 1-Lipschitz in lambda, so each of the four
-    coarse nodes around a node bounds it within their distance; ``margin``
-    covers the rounding of the coarse values and of the distances.
+    lattice nodes around a node bounds it within their distance.
     """
     re, im = grid.re_axis(), grid.im_axis()
-    lo = np.full((grid.nx, grid.ny), -np.inf)
-    hi = np.full((grid.nx, grid.ny), np.inf)
-    for pr in _around(rows, grid.nx):
-        for pc in _around(cols, grid.ny):
-            dist = np.hypot((re - re[rows[pr]])[:, None], (im - im[cols[pc]])[None, :])
-            sigma = coarse[np.ix_(pr, pc)]
-            np.maximum(lo, sigma - dist, out=lo)
-            np.minimum(hi, sigma + dist, out=hi)
-    return lo - margin, hi + margin
+    out_lo = np.full((at_rows.size, at_cols.size), -np.inf)
+    out_hi = np.full((at_rows.size, at_cols.size), np.inf)
+    for pr in _around(rows, at_rows):
+        for pc in _around(cols, at_cols):
+            dist = np.hypot((re[at_rows] - re[rows[pr]])[:, None], (im[at_cols] - im[cols[pc]])[None, :])
+            np.maximum(out_lo, lo[np.ix_(pr, pc)] - dist, out=out_lo)
+            np.minimum(out_hi, hi[np.ix_(pr, pc)] + dist, out=out_hi)
+    return out_lo, out_hi
+
+
+def _differs_from_a_neighbour(band: np.ndarray) -> np.ndarray:
+    """Nodes with a grid neighbour (up, down, left or right) in another band."""
+    across = band[:-1, :] != band[1:, :]
+    up = band[:, :-1] != band[:, 1:]
+    differs = np.zeros(band.shape, dtype=bool)
+    differs[:-1] |= across
+    differs[1:] |= across
+    differs[:, :-1] |= up
+    differs[:, 1:] |= up
+    return differs
 
 
 def compute_field(w: Matrix, grid: GridSpec, levels=None, *, workers: int | None = None) -> PseudospectrumField:
     """sigma_min(W - lambda*I) at the grid nodes, exact wherever a level can cross.
 
-    A coarse pass evaluates every 4th grid row and column, plus the last
-    ones. As sigma_min is 1-Lipschitz in lambda, the four coarse values
-    around any other node bracket its sigma_min to [lo, hi], less a rounding
-    margin. A node is certified when no level lies within one grid step h
-    (the larger axis step) plus the margin of its bracket: the node and its
-    four neighbours are then on the same side of every level, so no crossed
-    edge touches it and contours, eps-radii and node counts at ``levels`` are
-    those of the exact field. A certified node stores max(lo, 0); a second
-    pass evaluates every other node. With ``levels=None`` no node is
-    certified and every node is evaluated.
+    sigma_min is 1-Lipschitz in lambda, so known values bracket it nearby.
+    The field is refined on lattices of every 8th, 4th and 2nd grid row and
+    column, plus the last ones (``_LATTICE_STEPS``). Every node of the
+    8-lattice is evaluated. Each node of the 4-lattice, then of the
+    2-lattice, gets a bracket [lo, hi] from the four nodes of the previous
+    lattice around it, from their values or from their own bracket ends; it
+    is evaluated when its bracket, widened by one grid step h (the larger
+    axis step), holds a level. The other nodes are bracketed from the
+    2-lattice, and wave 1 evaluates those whose bracket holds a level. An
+    evaluated value v bounds sigma_min to [v - margin, v + margin]; the
+    margin covers rounding, so a bracket also holds the value that
+    evaluating its node would give.
+
+    Every node then has a band: the gap between consecutive levels that holds
+    its value or bracket, or -1 if one of ``levels`` lies in it. Wave 2
+    evaluates every node with a grid neighbour in another band. Evaluating a
+    node keeps its band, so after wave 2 each node that is not evaluated
+    (certified) has four neighbours in its own band, none of them on a level:
+    no crossed edge touches it, and contours, eps-radii and node counts at
+    ``levels`` are those of the exact field. A certified node stores
+    max(lo, 0). With ``levels=None`` every node is evaluated.
 
     A real W on a box with im_min == -im_max is folded across the real axis:
     sigma_min(W - conj(lambda)*I) = sigma_min(W - lambda*I), so sigma_min is
     evaluated only on the columns j >= ny-1-j (im >= 0), and column j reads
-    column ny-1-j. The coarse columns are every 4th one counted outward from
-    the middle, plus the end ones, so they fold onto each other, and a node
-    is exact when it or its mirror is. The linspace axis is antisymmetric
-    only to a few ulps, so a folded value is sigma_min at a point within
-    ``skew`` = max_j |im_j + im_(ny-1-j)| of its node, and ``skew`` widens
-    the bracket margin. ``field.evaluated`` counts the sigma_min evaluations.
+    column ny-1-j. The lattice columns are counted outward from the middle,
+    so they fold onto each other, and a node is evaluated with its mirror.
+    The linspace axis is antisymmetric only to a few ulps, so a folded value
+    is sigma_min at a point within ``skew`` = max_j |im_j + im_(ny-1-j)| of
+    its node, and the margin grows by 2 * skew, for a lattice value and the
+    node's own. ``field.evaluated`` counts the sigma_min evaluations.
 
     Each node is a full SVD, batched through LAPACK in chunks of fixed size
     that may fan out to threads, so the values are bitwise identical for
@@ -287,37 +318,67 @@ def compute_field(w: Matrix, grid: GridSpec, levels=None, *, workers: int | None
     a = w.array
     nodes = grid.nodes()
     nworkers = resolve_workers(workers)
-    rows, cols, skew = _coarse_indices(grid.nx), _coarse_indices(grid.ny), 0.0
+    folded = w.is_real and grid.im_min == -grid.im_max
     mirror = np.arange(grid.ny)  # column j reads its values from column mirror[j]
-    if w.is_real and grid.im_min == -grid.im_max:
+    skew = 0.0
+    if folded:
         mirror = mirror[::-1]
         im = grid.im_axis()
         skew = float(np.abs(im + im[mirror]).max())
-        upper = np.r_[grid.ny // 2 : grid.ny : 4, grid.ny - 1]
-        cols = np.union1d(upper, mirror[upper])
     own = np.arange(grid.ny) >= mirror  # the columns sigma_min is evaluated on
     values = np.zeros(nodes.shape)
+    exact = np.zeros(nodes.shape, dtype=bool)
+    evaluated = 0
 
     def evaluate(mask):
-        mask = mask & own
-        values[mask] = _evaluate(a, nodes[mask], nworkers)
+        nonlocal evaluated
+        mask = (mask | mask[:, mirror]) & ~exact
+        values[mask & own] = _evaluate(a, nodes[mask & own], nworkers)
         values[:, ~own] = values[:, mirror[~own]]
-        return int(mask.sum())
+        exact[mask] = True
+        evaluated += int((mask & own).sum())
 
-    on_coarse = np.zeros(nodes.shape, dtype=bool)
-    on_coarse[np.ix_(rows, cols)] = True
-    evaluated = evaluate(on_coarse)
-    with np.errstate(over="ignore"):
-        margin = _BRACKET_MARGIN * (float(np.linalg.norm(a)) + float(np.abs(nodes).max())) + skew
-        lo, hi = _brackets(grid, rows, cols, values[np.ix_(rows, cols)], margin)
-        slack = max(grid.step) + margin
-        if levels is None:
-            crossable = np.ones(nodes.shape, dtype=bool)
-        else:  # some level lies in [lo - slack, hi + slack]
-            crossable = np.searchsorted(levels, hi + slack, "right") > np.searchsorted(levels, lo - slack)
-    exact = crossable | crossable[:, mirror] | on_coarse
-    evaluated += evaluate(exact & ~on_coarse)
-    values = np.where(exact, values, np.maximum(lo, 0.0))
+    if levels is None:
+        evaluate(np.ones(nodes.shape, dtype=bool))
+    else:
+        with np.errstate(over="ignore"):
+            margin = _BRACKET_MARGIN * (float(np.linalg.norm(a)) + float(np.abs(nodes).max())) + 2.0 * skew
+            h = max(grid.step)
+            lo, hi = np.full(nodes.shape, -np.inf), np.full(nodes.shape, np.inf)
+
+            def holds(lo, hi):  # some level lies in [lo, hi]
+                return np.searchsorted(levels, hi, "right") > np.searchsorted(levels, lo)
+
+            def bracket(rows, cols, at_rows, at_cols):  # brackets at at_rows x at_cols from rows x cols
+                ix = np.ix_(rows, cols)
+                known = exact[ix]
+                return _brackets(
+                    grid, rows, cols,
+                    np.where(known, values[ix] - margin, lo[ix]),
+                    np.where(known, values[ix] + margin, hi[ix]),
+                    at_rows, at_cols,
+                )
+
+            def lattice(step):
+                return _lattice(grid.nx, step, False), _lattice(grid.ny, step, folded)
+
+            rows, cols = lattice(_LATTICE_STEPS[0])
+            near = np.zeros(nodes.shape, dtype=bool)
+            near[np.ix_(rows, cols)] = True
+            evaluate(near)
+            for step in _LATTICE_STEPS[1:]:
+                at = lattice(step)
+                ix = np.ix_(*at)
+                lo[ix], hi[ix] = bracket(rows, cols, *at)
+                near[ix] = holds(lo[ix] - h, hi[ix] + h)
+                evaluate(near)
+                rows, cols = at
+            lo, hi = bracket(rows, cols, np.arange(grid.nx), np.arange(grid.ny))
+            evaluate(holds(lo, hi))  # wave 1
+            lo, hi = np.where(exact, values, lo), np.where(exact, values, hi)
+            band = np.where(holds(lo, hi), -1, np.searchsorted(levels, lo))
+            evaluate(_differs_from_a_neighbour(band))  # wave 2
+        values = np.where(exact, values, np.maximum(lo, 0.0))
     values.setflags(write=False)
     return PseudospectrumField(
         grid=grid, values=values, eigenvalues=eigenvalues(w), levels=levels, exact=exact, evaluated=evaluated

@@ -130,11 +130,13 @@ def write_contours_csv(path, contours: ContourSet) -> None:
     """Rows level,polyline_id,re,im; vertices in traversal order."""
     lines = ["level,polyline_id,re,im"]
     for level, group in zip(contours.levels, contours.polylines):
+        lev = fmt_float(level)
         for pid, poly in enumerate(group):
-            for z in poly:
-                lines.append(
-                    f"{fmt_float(level)},{pid},{fmt_float(z.real)},{fmt_float(z.imag)}"
-                )
+            if not np.isfinite(poly).all():
+                raise ValueError("reports must not contain non-finite numbers")
+            lines.extend(
+                f"{lev},{pid},{re!r},{im!r}" for re, im in zip(poly.real.tolist(), poly.imag.tolist())
+            )
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 

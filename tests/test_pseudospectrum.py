@@ -107,6 +107,23 @@ class TestSigmaMin:
         with pytest.raises(NumericalError, match="SVD did not converge"):
             sigma_min_at(JORDAN2, 0.5)
 
+    def test_shifted_stack_matches_the_dense_shift_bitwise(self, rng):
+        # the diagonal is shifted in place; the old form subtracted lam * eye
+        signed = random_matrix(rng, 6, complex_entries=False).array.copy()
+        signed[::2, 1::2] = -0.0
+        for a in (
+            random_matrix(rng, 7, complex_entries=False).array,
+            random_matrix(rng, 7).array,
+            signed,
+            np.array([[-0.0, 0.0], [-0.0, -0.0]]),
+            np.array([[complex(-0.0, 0.5), complex(0.3, -0.0)], [complex(-0.0, -0.0), 1.0]]),
+        ):
+            lams = GridSpec(-2.0, 2.0, -1.5, 1.5, 9, 7).nodes().ravel()  # nodes on both axes
+            lams = np.r_[lams, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0)]
+            eye = np.eye(a.shape[0], dtype=np.complex128)
+            want = np.linalg.svd(a[None, :, :] - lams[:, None, None] * eye[None, :, :], compute_uv=False)[:, -1]
+            assert np.array_equal(pseudospectrum._sigma_min_stack(a, lams), want)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_shift_is_numerical_error(self):
         with pytest.raises(NumericalError, match="overflowed"):
@@ -192,11 +209,45 @@ def _edge_nodes(inside):
     return touched
 
 
+def _band(values, levels):
+    """Index of the gap between consecutive levels that holds each value, or -1 on a level."""
+    band = np.searchsorted(levels, values)
+    return np.where(np.isin(values, levels), -1, band)
+
+
+def _assert_bands_hold(f, full, levels):
+    """Every certified node's four neighbours are certified in its band or exact strictly inside it."""
+    band, certified = _band(f.values, levels), ~f.exact
+    assert np.array_equal(band, _band(full.values, levels)) and (band[certified] >= 0).all()
+    across = band[:-1, :] != band[1:, :]
+    up = band[:, :-1] != band[:, 1:]
+    assert not (across & (certified[:-1, :] | certified[1:, :])).any()
+    assert not (up & (certified[:, :-1] | certified[:, 1:])).any()
+
+
+def _assert_lattices_evaluated(w, f, full, levels):
+    """The 8-lattice is evaluated, and so is each 4- and 2-lattice node within a grid step of a level."""
+    grid = f.grid
+    folded = w.is_real and grid.im_min == -grid.im_max
+
+    def lattice(step):
+        return np.ix_(pseudospectrum._lattice(grid.nx, step, False), pseudospectrum._lattice(grid.ny, step, folded))
+
+    near = np.zeros(f.exact.shape, dtype=bool)
+    for lev in levels:
+        near |= np.abs(full.values - lev) <= max(grid.step)
+    assert f.exact[lattice(8)].all()
+    for step in (4, 2):
+        assert f.exact[lattice(step)][near[lattice(step)]].all()
+
+
 def _assert_certified_like_full(w, grid, levels):
     full = compute_field(w, grid, workers=1)
     f = compute_field(w, grid, levels, workers=1)
     exact = f.exact
     assert f.levels == levels and not exact.flags.writeable
+    _assert_bands_hold(f, full, levels)
+    _assert_lattices_evaluated(w, f, full, levels)
     assert np.array_equal(f.values[exact], full.values[exact])
     assert (f.values[~exact] <= full.values[~exact]).all()
     for lev in levels:
@@ -223,7 +274,7 @@ class TestCertifiedField:
         assert _assert_certified_like_full(JORDAN2, grid, (1e-3, 1e-2, 0.1, 0.3)) > 0
 
     def test_node_on_an_eigenvalue(self):
-        grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21)  # node (15, 10) is 0.5 + 0j, off the coarse grid
+        grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 21, 21)  # node (15, 10) is 0.5 + 0j, off every lattice
         w = Matrix.diag([0.5, -0.5])
         assert compute_field(w, grid, workers=1).values[15, 10] == 0.0
         assert _assert_certified_like_full(w, grid, (1e-3, 0.05)) > 0
@@ -278,6 +329,14 @@ class TestCertifiedField:
         f = compute_field(w, auto_grid(w, nx=45, ny=45), (1e-2, 0.1), workers=2)
         assert len(calls) > 2 and max(calls) <= 1 << 17
         assert sum(calls) == int(f.exact.sum()) * 32 * 32
+
+    def test_a_fifth_of_the_nodes_of_a_real_gate_are_evaluated(self, monkeypatch):
+        for seed in range(5):
+            w = random_matrix(np.random.default_rng(seed), 32, complex_entries=False, scale=0.18)
+            grid = auto_grid(w)
+            sizes = _svd_batch_sizes(monkeypatch)
+            f = compute_field(w, grid, DEFAULT_EPS_LEVELS, workers=2)
+            assert f.evaluated == sum(sizes) <= 0.2 * grid.nx * grid.ny
 
 
 class _SkewedGrid(GridSpec):

@@ -6,6 +6,7 @@ from conftest import random_matrix
 
 from specto import (
     AnalysisReport,
+    ContourSet,
     GridSpec,
     Matrix,
     auto_grid,
@@ -18,6 +19,7 @@ from specto import (
     serialize_report,
     write_contours_csv,
 )
+from specto.report import fmt_float
 
 AWKWARD_FLOATS = [np.pi, 1 / 3, 0.1, 1e-300, 1.7976931348623157e308, -0.0, 2**53 + 1.0]
 
@@ -142,6 +144,32 @@ class TestContourCsv:
         assert pid == "0"
         # vertices sit on the 0.2-circle around 1 up to interpolation error
         assert abs(abs(complex(float(re), float(im)) - 1.0) - 0.2) < 0.1
+
+    def test_bytes_match_the_per_vertex_formatter(self, tmp_path, rng):
+        awkward = np.array([complex(-0.0, 1e-09), complex(5e-324, -0.0), complex(2.2250738585072014e-308, 1e-300)])
+        contours = ContourSet(
+            levels=(1e-09, 0.1, 1.5),
+            polylines=(
+                (awkward, rng.standard_normal(7) + 1j * rng.standard_normal(7)),
+                (),
+                (np.r_[awkward, awkward[:1]] * 3.0,),
+            ),
+        )
+        path = tmp_path / "c.csv"
+        write_contours_csv(path, contours)
+        want = ["level,polyline_id,re,im"] + [
+            f"{fmt_float(level)},{pid},{fmt_float(z.real)},{fmt_float(z.imag)}"
+            for level, group in zip(contours.levels, contours.polylines)
+            for pid, poly in enumerate(group)
+            for z in poly
+        ]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+        assert "-0.0,1e-09" in path.read_text() and "5e-324" in path.read_text()
+
+    def test_nan_vertex_rejected(self, tmp_path):
+        contours = ContourSet(levels=(0.1,), polylines=((np.array([0.5 + 0j, complex(np.nan, 0.0)]),),))
+        with pytest.raises(ValueError, match="non-finite"):
+            write_contours_csv(tmp_path / "c.csv", contours)
 
 
 class TestSvg:
