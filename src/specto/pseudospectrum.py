@@ -370,6 +370,7 @@ def compute_field(w: Matrix, grid: GridSpec, levels=None, *, workers: int | None
                 at = lattice(step)
                 ix = np.ix_(*at)
                 lo[ix], hi[ix] = bracket(rows, cols, *at)
+                near = np.zeros(nodes.shape, dtype=bool)
                 near[ix] = holds(lo[ix] - h, hi[ix] + h)
                 evaluate(near)
                 rows, cols = at
