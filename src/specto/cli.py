@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .containers import load_matrix_any, write_matrix_file
 from .errors import FormatError, NumericalError
-from .matrix import Matrix
+from .matrix import Matrix, spectral_radius
 from .pseudospectrum import (
     DEFAULT_GRID_NODES,
     DEFAULT_GRID_PAD,
@@ -145,6 +145,8 @@ def cmd_stabilize(args) -> int:
     result = stabilize(m, StabilizerConfig(m=args.m, seed=args.seed))
     write_matrix_file(args.output, result.w_s, name)
     print(fmt_float(result.gain_estimate))
+    # a few iterations underestimate the gain, and then rho(W_s) can exceed 1
+    print(f"rho(W_s)={fmt_float(spectral_radius(result.w_s))}", file=sys.stderr)
     return 0
 
 

@@ -125,16 +125,20 @@ def init_cell(
 
 
 # ---------------------------------------------------------------------------
-# Fused kernels. Each call stacks every gate's weights into one matrix, so a
-# step runs one recurrent GEMM (the GRU two: update+reset, then the candidate
-# on r*h). States are hidden-major, (T+1, hidden, B), so each gate is a
-# contiguous row block of that GEMM's result. Sigmoid gates come first and
-# their rows are stored halved (exact in binary): one tanh over all rows and
-# one affine map give sigmoid(a) = 0.5 + 0.5 tanh(a/2). The input projection
-# of all steps is one matmul whose (T, G*hidden, B) buffer becomes the gate
-# activation cache. Backward turns that cache in place into the derivative
-# factors, then into the gate deltas da, so it holds no copy of its own; the
-# weight gradients are sums over the (T*B) columns of da after the time loop.
+# Fused kernels. Each call stacks every gate's [W | U | b] into one augmented
+# matrix, so a step's pre-activations are one GEMM over an operand whose
+# column per sequence is [state; u_t; 1] (the GRU runs two: update and reset
+# over [h; u; 1], then the candidate over [r*h; u; 1]). Operands are
+# hidden-major, (slots, hidden+input+1, B): rows hidden: hold the inputs and a
+# row of ones, written once per call, and rows :hidden receive each step's
+# state, so each gate is a contiguous row block of the GEMM's result. Sigmoid
+# gates come first and their rows are stored halved (exact in binary): one
+# tanh over all rows and one affine map give sigmoid(a) = 0.5 + 0.5 tanh(a/2).
+# The (T, G*hidden, B) buffer of GEMM results becomes the gate activation
+# cache. Backward turns that cache in place into the derivative factors, then
+# into the gate deltas da, so it holds no copy of its own; after the time loop
+# the [W | U | b] gradient over an operand is one sum over the (T*B) columns
+# of da and that operand.
 # ---------------------------------------------------------------------------
 
 # Fused row order: sigmoid gates first; in the LSTM the three gates whose
@@ -153,65 +157,72 @@ def _stack(cell: CellParams, table: dict[str, np.ndarray]) -> np.ndarray:
     return np.concatenate([table[g] for g in _FUSED_ORDER[cell.kind]])
 
 
-def _halve_sigmoid_rows(cell: CellParams, arr: np.ndarray) -> np.ndarray:
-    arr[: _SIGMOID_GATES[cell.kind] * cell.hidden] *= 0.5
-    return arr
+def _augmented(cell: CellParams) -> np.ndarray:
+    """[W | U | b] in fused row order, sigmoid rows halved: (G*hidden, hidden+input+1)."""
+    w = np.concatenate(
+        (_stack(cell, cell.w_rec), _stack(cell, cell.w_in), _stack(cell, cell.b)[:, None]), axis=1
+    )
+    w[: _SIGMOID_GATES[cell.kind] * cell.hidden] *= 0.5
+    return w
 
 
-def _project(cell: CellParams, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """U u_t + b for every step into ``out`` (T, G*hidden, B), sigmoid rows halved."""
-    u = _halve_sigmoid_rows(cell, _stack(cell, cell.w_in))
-    b = _halve_sigmoid_rows(cell, _stack(cell, cell.b))
-    np.matmul(u, xs, out=out)
-    out += b[:, None]
-    return out
+def _operand(inputs: np.ndarray, hidden: int, slots: int) -> np.ndarray:
+    """(slots, hidden+input+1, B) operand: rows hidden: of slot t < T hold [u_t; 1].
+
+    Rows :hidden are left for the caller's states; a slot past the last
+    step holds only a state.
+    """
+    bsz, steps, d = inputs.shape
+    v = np.empty((slots, hidden + d + 1, bsz))
+    v[:steps, hidden:-1] = inputs.transpose(1, 2, 0)
+    v[:, -1] = 1.0
+    return v
 
 
-def _column_sums(da: np.ndarray, acts: np.ndarray) -> np.ndarray:
-    """sum_t da_t acts_t^T over all (T*B) columns: (rows of da, rows of acts)."""
-    return np.matmul(da, acts.transpose(0, 2, 1)).sum(axis=0)
+def _column_sums(da: np.ndarray, operand: np.ndarray) -> np.ndarray:
+    """sum_t da_t operand_t^T over all (T*B) columns: (rows of da, rows of operand)."""
+    return np.matmul(da, operand.transpose(0, 2, 1)).sum(axis=0)
 
 
-def _weight_grads(da: np.ndarray, rec: np.ndarray, xs: np.ndarray):
-    """(w_rec, w_in, b) gradients in fused row order; rec[t] is what W multiplies at step t."""
-    return _column_sums(da, rec), _column_sums(da, xs), da.sum(axis=0).sum(axis=1)
-
-
-def _rnn_forward(cell, xs):
-    steps, _, bsz = xs.shape
-    w = cell.w_rec["recurrent"]
-    x = np.empty((steps + 1, cell.hidden, bsz))
+def _rnn_forward(cell, inputs):
+    bsz, steps, _ = inputs.shape
+    n = cell.hidden
+    w = _augmented(cell)
+    v = _operand(inputs, n, steps)
+    x = np.empty((steps + 1, n, bsz))
     x[0] = 0.0
-    _project(cell, xs, out=x[1:])
     for t in range(steps):
-        x[t + 1] += w @ np.tanh(x[t])
-    return x, {"x": x}
+        np.tanh(x[t], out=v[t, :n])
+        np.dot(w, v[t], out=x[t + 1])
+    return x, {"x": x, "v": v}
 
 
 def _rnn_backward(cell, cache, dh):
-    x, xs = cache["x"], cache["xs"]
-    s = np.tanh(x[:-1])
+    x, v = cache["x"], cache["v"]
+    s = v[:, : cell.hidden]  # tanh(x_t) for t < T
     deriv = np.multiply(s, s, out=x[:-1])  # x_0..x_{T-1} are spent: reuse them
     np.subtract(1.0, deriv, out=deriv)
     da = x[1:]  # da[t] = dloss/dx_{t+1}, written over deriv[t+1] once it is used
     da[-1:] = dh  # a slice, so that T = 0 has nothing to set
     wt = cell.w_rec["recurrent"].T
-    for t in range(xs.shape[0] - 1, 0, -1):
-        np.multiply(wt @ da[t], deriv[t], out=da[t - 1])
-    return _weight_grads(da, s, xs)
+    for t in range(v.shape[0] - 1, 0, -1):
+        np.multiply(np.dot(wt, da[t]), deriv[t], out=da[t - 1])
+    return _column_sums(da, v)
 
 
-def _lstm_forward(cell, xs):
+def _lstm_forward(cell, inputs):
     # fused rows: output, input, forget (sigmoid), cell candidate z (tanh)
-    steps, _, bsz = xs.shape
+    bsz, steps, _ = inputs.shape
     n = cell.hidden
-    act = _project(cell, xs, out=np.empty((steps, 4 * n, bsz)))
-    w = _halve_sigmoid_rows(cell, _stack(cell, cell.w_rec))
-    h = np.zeros((steps + 1, n, bsz))
+    w = _augmented(cell)
+    v = _operand(inputs, n, steps + 1)
+    h = v[:, :n]
+    h[0] = 0.0
+    act = np.empty((steps, 4 * n, bsz))
     c = np.zeros((steps + 1, n, bsz))
     for t in range(steps):
         a = act[t]
-        a += w @ h[t]
+        np.dot(w, v[t], out=a)
         np.tanh(a, out=a)
         sig = a[: 3 * n]
         sig *= 0.5
@@ -220,11 +231,11 @@ def _lstm_forward(cell, xs):
         c[t + 1] += a[n : 2 * n] * a[3 * n :]
         np.tanh(c[t + 1], out=h[t + 1])
         h[t + 1] *= a[:n]
-    return h, {"h": h, "c": c, "act": act}
+    return h, {"v": v, "c": c, "act": act}
 
 
 def _lstm_backward(cell, cache, dh):
-    h, c, act, xs = cache["h"], cache["c"], cache["act"], cache["xs"]
+    v, c, act = cache["v"], cache["c"], cache["act"]
     steps, _, bsz = act.shape
     n = cell.hidden
     o, i, f, z = (act[:, k * n : (k + 1) * n] for k in range(4))
@@ -260,47 +271,51 @@ def _lstm_backward(cell, cache, dh):
         dc += dh * into_c[t]
         from_c[t] *= dc
         if t:
-            dh = wt @ da
+            dh = np.dot(wt, da)
             dc *= keep_f[t]
-    return _weight_grads(act, h[:-1], xs)
+    return _column_sums(act, v[:-1])
 
 
-def _gru_forward(cell, xs):
-    # fused rows: reset r, update z (sigmoid), candidate n (tanh on W_n (r*h))
-    steps, _, bsz = xs.shape
+def _gru_forward(cell, inputs):
+    # fused rows: reset r, update z (sigmoid), candidate n (tanh on W_n (r*h));
+    # q is the candidate's operand [r*h; u; 1]
+    bsz, steps, _ = inputs.shape
     n = cell.hidden
-    act = _project(cell, xs, out=np.empty((steps, 3 * n, bsz)))
-    w = _halve_sigmoid_rows(cell, _stack(cell, cell.w_rec))
+    w = _augmented(cell)
     w_rz, w_n = w[: 2 * n], w[2 * n :]
-    h = np.zeros((steps + 1, n, bsz))
+    v = _operand(inputs, n, steps + 1)
+    q = _operand(inputs, n, steps)
+    h = v[:, :n]
+    h[0] = 0.0
+    act = np.empty((steps, 3 * n, bsz))
     for t in range(steps):
         a = act[t]
         rz, cand = a[: 2 * n], a[2 * n :]
-        rz += w_rz @ h[t]
+        np.dot(w_rz, v[t], out=rz)
         np.tanh(rz, out=rz)
         rz *= 0.5
         rz += 0.5
-        cand += w_n @ (a[:n] * h[t])
+        np.multiply(a[:n], h[t], out=q[t, :n])
+        np.dot(w_n, q[t], out=cand)
         np.tanh(cand, out=cand)
         # h' = (1 - z) n + z h = n + z (h - n)
         np.subtract(h[t], cand, out=h[t + 1])
         h[t + 1] *= a[n : 2 * n]
         h[t + 1] += cand
-    return h, {"h": h, "act": act}
+    return h, {"v": v, "q": q, "act": act}
 
 
 def _gru_backward(cell, cache, dh):
-    h, act, xs = cache["h"], cache["act"], cache["xs"]
-    steps, rows, bsz = act.shape
+    v, q, act = cache["v"], cache["q"], cache["act"]
+    steps, _, bsz = act.shape
     n = cell.hidden
-    hp = h[:-1]
+    hp = v[:-1, :n]
     r, z, cand = act[:, :n], act[:, n : 2 * n], act[:, 2 * n :]
     # Derivative factors, over the gate values in place: r -> h r (1-r),
     # z -> (h - n) z (1-z), n -> (1-z)(1-n^2); keep_r and keep_z hold r and z.
-    rh = r * hp
     keep_r, keep_z = r.copy(), z.copy()
     np.subtract(1.0, r, out=r)
-    r *= rh
+    r *= q[:, :n]  # r*h
     diff = hp - cand
     diff *= keep_z
     np.subtract(1.0, z, out=z)
@@ -315,17 +330,14 @@ def _gru_backward(cell, cache, dh):
     for t in range(steps - 1, -1, -1):
         da = act[t]
         from_h[t] *= dh
-        dhr = wt_n @ da[2 * n :]
+        dhr = np.dot(wt_n, da[2 * n :])
         da[:n] *= dhr
         if t:
-            dh_prev = wt_rz @ da[: 2 * n]
+            dh_prev = np.dot(wt_rz, da[: 2 * n])
             dh_prev += dh * keep_z[t]
             dh_prev += dhr * keep_r[t]
             dh = dh_prev
-    dw = np.empty((rows, n))
-    dw[: 2 * n] = _column_sums(act[:, : 2 * n], hp)
-    dw[2 * n :] = _column_sums(act[:, 2 * n :], rh)
-    return dw, _column_sums(act, xs), act.sum(axis=0).sum(axis=1)
+    return np.concatenate((_column_sums(act[:, : 2 * n], v[:-1]), _column_sums(act[:, 2 * n :], q)))
 
 
 _FORWARD = {"rnn": _rnn_forward, "lstm": _lstm_forward, "gru": _gru_forward}
@@ -342,9 +354,7 @@ def forward_batch(cell: CellParams, inputs: np.ndarray):
         raise ValueError(
             f"inputs must be (batch, time, {cell.input_dim}), got {inputs.shape}"
         )
-    xs = np.ascontiguousarray(np.transpose(inputs, (1, 2, 0)), dtype=float)  # (T, d, B)
-    hidden_major, cache = _FORWARD[cell.kind](cell, xs)
-    cache["xs"] = xs
+    hidden_major, cache = _FORWARD[cell.kind](cell, inputs)
     states = hidden_major.transpose(0, 2, 1)
     logits = states[-1] @ cell.w_out.T + cell.b_out
     return states, logits, cache
@@ -392,14 +402,14 @@ def batch_loss_and_grads(cell: CellParams, inputs: np.ndarray, targets: np.ndarr
     states, logits, cache = forward_batch(cell, inputs)
     value, dlogits = _loss_and_dlogits(logits, np.asarray(targets), task)
     dw_out, db_out = dlogits.T @ states[-1], dlogits.sum(axis=0)  # backward overwrites the cache
-    dw, du, db = _BACKWARD[cell.kind](cell, cache, cell.w_out.T @ dlogits.T)
-    n = cell.hidden
-    rows = {g: slice(k * n, (k + 1) * n) for k, g in enumerate(_FUSED_ORDER[cell.kind])}
+    dw = _BACKWARD[cell.kind](cell, cache, cell.w_out.T @ dlogits.T)
+    n, width = cell.hidden, cell.hidden + cell.input_dim
+    rows = {g: dw[k * n : (k + 1) * n] for k, g in enumerate(_FUSED_ORDER[cell.kind])}
     grads = {}
     for g in cell.gates:
-        grads[f"w_rec.{g}"] = dw[rows[g]]
-        grads[f"w_in.{g}"] = du[rows[g]]
-        grads[f"b.{g}"] = db[rows[g]]
+        grads[f"w_rec.{g}"] = rows[g][:, :n]
+        grads[f"w_in.{g}"] = rows[g][:, n:width]
+        grads[f"b.{g}"] = rows[g][:, width]
     grads["w_out"] = dw_out
     grads["b_out"] = db_out
     return value, grads
@@ -412,18 +422,21 @@ def backward(cell: CellParams, seq: np.ndarray, target, task: str) -> dict[str, 
     return grads
 
 
-# Doubles in the (T, gates*hidden, chunk) activation buffer of one forward pass in
-# `predictions` (4 MiB). A larger block, once freed, raises glibc's dynamic mmap
-# threshold, and the heap then keeps later large temporaries resident: a GRU
-# train followed by analyze in one process peaked 18 MB higher at 512 sequences
-# per pass (19.7 MB buffers).
+# Doubles in the buffers of one forward pass in `predictions` (4 MiB). A larger
+# block, once freed, raises glibc's dynamic mmap threshold, and the heap then
+# keeps later large temporaries resident: a GRU train followed by analyze in
+# one process peaked 18 MB higher at 512 sequences per pass (19.7 MB buffers).
 _EVAL_SCALARS = 1 << 19
 
 
 def predictions(cell: CellParams, inputs: np.ndarray) -> np.ndarray:
     """Readout logits for many sequences, evaluated in memory-bounded chunks."""
+    # Per sequence and step a pass holds G*hidden gate activations (the RNN:
+    # its states) and an operand column of hidden+input+1, plus the GRU's
+    # second operand or the LSTM's cell state, over at most T+1 slots.
     steps = inputs.shape[1]
-    chunk = max(1, _EVAL_SCALARS // max(1, steps * len(cell.gates) * cell.hidden))
+    width = cell.hidden + cell.input_dim + 1
+    chunk = max(1, _EVAL_SCALARS // ((steps + 1) * (len(cell.gates) * cell.hidden + 2 * width)))
     outs = []
     for lo in range(0, inputs.shape[0], chunk):
         _, logits, _ = forward_batch(cell, inputs[lo : lo + chunk])
@@ -448,25 +461,3 @@ def extract_recurrent_matrices(cell: CellParams):
 
     return [(g, Matrix(cell.w_rec[g])) for g in cell.gates]
 
-
-def rnn_jacobian_product_norms(cell: CellParams, seq: np.ndarray) -> np.ndarray:
-    """2-norms of the running BPTT Jacobian products of a vanilla RNN.
-
-    Entry l-1 is ||prod_{i=T-l+1..T} W^T diag(tanh'(x_{i-1}))||_2, the
-    state-to-state Jacobian across the last l steps; each entry is bounded
-    by (||W||_2 * max tanh')^l.
-    """
-    if cell.kind != "rnn":
-        raise ValueError("jacobian product norms are defined for the vanilla rnn cell")
-    seq = np.asarray(seq, dtype=float)
-    states, _, _ = forward_batch(cell, seq[None])
-    w = cell.w_rec["recurrent"]
-    x = states[:, 0, :]
-    steps = seq.shape[0]
-    prod = np.eye(cell.hidden)
-    norms = np.empty(steps)
-    for k, i in enumerate(range(steps, 0, -1)):
-        deriv = 1.0 - np.tanh(x[i - 1]) ** 2
-        prod = prod @ (w.T * deriv[None, :])
-        norms[k] = np.linalg.svd(prod, compute_uv=False)[0]
-    return norms

@@ -68,7 +68,7 @@ class EpochRecord:
 
 
 def _clip_grads(grads: dict[str, np.ndarray], clip: float) -> None:
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    total = np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
     if total > clip:
         scale = clip / total
         for g in grads.values():

@@ -251,6 +251,20 @@ class TestStabilize:
         assert run(["stabilize", src, dst]) == 0
         assert read_matrix_file(dst).name == "w"
 
+    def test_one_iteration_reports_a_radius_above_one(self, tmp_path, capsys):
+        # one iteration underestimates sigma_max = 2, so W_s = W/gain keeps rho > 1
+        src = tmp_path / "d.csv"
+        src.write_text("2,0\n0,1\n")
+        dst = tmp_path / "out.pspc"
+        assert run(["stabilize", src, dst, "-m", "1"]) == 0
+        captured = capsys.readouterr()
+        gain = float(captured.out)
+        assert captured.out.split() == [repr(gain)]  # stdout stays the gain alone
+        label, _, value = captured.err.strip().partition("=")
+        assert label == "rho(W_s)"
+        assert float(value) > 1.0
+        assert float(value) == pytest.approx(2.0 / gain, rel=1e-12)
+
     def test_zero_matrix_exit_2(self, tmp_path, capsys):
         src = tmp_path / "z.csv"
         src.write_text("0,0\n0,0\n")
