@@ -13,7 +13,6 @@ from .matrix import (
     Matrix,
     SchurFactors,
     eigenvalues,
-    frobenius_norm,
     mat_power_norms,
     schur,
     singular_values,
@@ -22,9 +21,7 @@ from .matrix import (
 )
 from .nonnormality import (
     NonNormalityReport,
-    commutator_norm,
     henrici_number,
-    is_normal,
     nonnormality_report,
     schur_departure,
 )
@@ -37,21 +34,19 @@ from .pseudospectrum import (
     check_levels,
     compute_field,
     extract_contours,
-    jacobian_norm_bound_check,
     kreiss_lower_bound,
     kreiss_sandwich_check,
     pseudospectral_radius,
     resolve_workers,
     sigma_min_at,
 )
-from .stabilizer import StabilizationResult, StabilizerConfig, gain_convergence, stabilize
+from .stabilizer import StabilizationResult, StabilizerConfig, stabilize
 from .containers import (
     MatrixContainer,
     container_from_bytes,
     container_to_bytes,
     load_matrix_any,
     parse_matrix_csv,
-    read_matrix_file,
     write_matrix_file,
 )
 from .report import (
@@ -87,18 +82,13 @@ __all__ = [
     "auto_grid",
     "build_matrix_report",
     "check_levels",
-    "commutator_norm",
     "compare_svg",
     "compute_field",
     "container_from_bytes",
     "container_to_bytes",
     "eigenvalues",
     "extract_contours",
-    "frobenius_norm",
-    "gain_convergence",
     "henrici_number",
-    "is_normal",
-    "jacobian_norm_bound_check",
     "kreiss_lower_bound",
     "kreiss_sandwich_check",
     "load_matrix_any",
@@ -108,7 +98,6 @@ __all__ = [
     "parse_report",
     "portrait_svg",
     "pseudospectral_radius",
-    "read_matrix_file",
     "resolve_workers",
     "schur",
     "schur_departure",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import re
 import sys
 import time
@@ -57,6 +58,11 @@ def _parse_eps(text: str | None):
     return check_levels(eps)
 
 
+def _check_stability_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"--stability-tol must be finite and >= 0, got {tol!r}")
+
+
 def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", name) or "matrix"
 
@@ -96,6 +102,7 @@ def _grid_flags(sub):
 
 def cmd_analyze(args) -> int:
     eps = _parse_eps(args.eps)
+    _check_stability_tol(args.stability_tol)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     loaded = [load_matrix_any(p) for p in args.inputs]
@@ -152,6 +159,7 @@ def cmd_stabilize(args) -> int:
 
 def cmd_compare(args) -> int:
     eps = _parse_eps(args.eps)
+    _check_stability_tol(args.stability_tol)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     before, before_name = load_matrix_any(args.before)
@@ -209,6 +217,10 @@ def _history_csv(history, gates) -> str:
 
 
 def cmd_train(args) -> int:
+    if not args.clip >= 0.0:
+        raise ValueError(f"--clip must be >= 0 (0 disables clipping), got {args.clip!r}")
+    if args.snapshot_every < 0:
+        raise ValueError(f"--snapshot-every must be >= 0 (0 disables snapshots), got {args.snapshot_every}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = TrainConfig(

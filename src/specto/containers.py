@@ -30,7 +30,6 @@ __all__ = [
     "MatrixContainer",
     "container_from_bytes",
     "container_to_bytes",
-    "read_matrix_file",
     "write_matrix_file",
     "parse_matrix_csv",
     "load_matrix_any",
@@ -109,10 +108,6 @@ def container_from_bytes(data: bytes, source: str = "<bytes>") -> MatrixContaine
             raise FormatError(f"{source}: name footer is not UTF-8 at offset {payload_end + 4}") from exc
     matrix = Matrix((raw.view("<c16") if is_complex else raw).reshape(rows, cols))
     return MatrixContainer(matrix=matrix, name=name, complex_storage=is_complex)
-
-
-def read_matrix_file(path) -> MatrixContainer:
-    return container_from_bytes(Path(path).read_bytes(), source=str(path))
 
 
 def write_matrix_file(path, matrix: Matrix | MatrixContainer, name: str | None = None) -> None:

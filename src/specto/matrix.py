@@ -19,7 +19,6 @@ from .errors import NumericalError
 __all__ = [
     "Matrix",
     "SchurFactors",
-    "frobenius_norm",
     "two_norm",
     "singular_values",
     "eigenvalues",
@@ -35,6 +34,7 @@ class Matrix:
     Entries must all be finite; the backing array is write-locked so
     instances are safe to share across threads. The Schur form and the
     singular values are computed on first use and cached (write-locked too).
+    A Matrix does no arithmetic: compute on ``.array`` and wrap the result.
     """
 
     __slots__ = ("_a", "_schur", "_sv")
@@ -77,48 +77,6 @@ class Matrix:
     def is_real(self) -> bool:
         return not self._a.imag.any()
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(np.eye(n))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(np.zeros((rows, cols)))
-
-    @classmethod
-    def diag(cls, values) -> "Matrix":
-        return cls(np.diag(np.asarray(values)))
-
-    def adjoint(self) -> "Matrix":
-        """Conjugate transpose."""
-        return Matrix(self._a.conj().T)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch for @: {self.shape} x {other.shape}")
-        return Matrix(self._a @ other._a)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch for +: {self.shape} vs {other.shape}")
-        return Matrix(self._a + other._a)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch for -: {self.shape} vs {other.shape}")
-        return Matrix(self._a - other._a)
-
-    def __mul__(self, scalar) -> "Matrix":
-        return Matrix(self._a * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(-self._a)
-
-    def __getitem__(self, key) -> complex:
-        return complex(self._a[key])
-
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
 
@@ -142,11 +100,6 @@ class SchurFactors:
 def _require_square(m: Matrix, op: str) -> None:
     if not m.is_square:
         raise ValueError(f"{op} requires a square matrix, got {m.shape}")
-
-
-def frobenius_norm(m: Matrix) -> float:
-    """sqrt of the sum of squared entry magnitudes."""
-    return float(np.linalg.norm(m.array))
 
 
 def singular_values(m: Matrix) -> np.ndarray:

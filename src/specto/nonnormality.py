@@ -22,14 +22,12 @@ from .matrix import Matrix, schur
 
 __all__ = [
     "NonNormalityReport",
-    "commutator_norm",
     "henrici_number",
     "schur_departure",
-    "is_normal",
     "nonnormality_report",
 ]
 
-DEFAULT_NORMALITY_TOL = 1e-10
+NORMALITY_TOL = 1e-10  # is_normal: ||[W, W*]||_F <= NORMALITY_TOL * max(1, ||W||_F^2)
 
 
 @dataclass(frozen=True)
@@ -65,19 +63,6 @@ def _commutator_parts(w: Matrix, op: str) -> tuple[float, float, float]:
     return float(np.linalg.norm(v @ vh - vh @ v)), float(np.linalg.norm(v)), s
 
 
-def _within_tol(comm: float, fro: float, s: float, tol: float) -> bool:
-    """||[W, W*]||_F <= tol * max(1, ||W||_F^2), evaluated on V = W / s."""
-    if fro * s >= 1.0:
-        return comm <= tol * fro**2
-    return comm * s * s <= tol
-
-
-def commutator_norm(w: Matrix) -> float:
-    """||W W* - W* W||_F (inf when the true value exceeds the float range)."""
-    comm, _, s = _commutator_parts(w, "commutator_norm")
-    return comm * s * s
-
-
 def henrici_number(w: Matrix) -> float:
     """Scale-invariant non-normality index ||W W* - W* W||_F / ||W||_F^2.
 
@@ -106,17 +91,17 @@ def schur_departure(w: Matrix) -> tuple[np.ndarray, float]:
     return factors.eigenvalues, float(np.linalg.norm(n)) * s
 
 
-def is_normal(w: Matrix, tol: float = DEFAULT_NORMALITY_TOL) -> bool:
-    """True iff the commutator norm is <= tol * max(1, ||W||_F^2)."""
-    return _within_tol(*_commutator_parts(w, "is_normal"), tol)
-
-
-def nonnormality_report(w: Matrix, tol: float = DEFAULT_NORMALITY_TOL) -> NonNormalityReport:
+def nonnormality_report(w: Matrix) -> NonNormalityReport:
+    """All indices at once; the commutator norm is inf past the float range, the verdict is not."""
     _, departure = schur_departure(w)
     comm, fro, s = _commutator_parts(w, "nonnormality_report")
+    if fro * s >= 1.0:
+        normal = comm <= NORMALITY_TOL * fro**2
+    else:
+        normal = comm * s * s <= NORMALITY_TOL
     return NonNormalityReport(
         henrici=0.0 if fro == 0.0 else comm / fro**2,
         schur_departure=departure,
-        is_normal=_within_tol(comm, fro, s, tol),
+        is_normal=normal,
         commutator_norm=comm * s * s,
     )

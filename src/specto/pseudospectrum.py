@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .matrix import Matrix, eigenvalues, mat_power_norms, spectral_radius, two_norm
+from .matrix import Matrix, eigenvalues, mat_power_norms, spectral_radius
 
 __all__ = [
     "GridSpec",
@@ -32,7 +32,6 @@ __all__ = [
     "pseudospectral_radius",
     "kreiss_lower_bound",
     "kreiss_sandwich_check",
-    "jacobian_norm_bound_check",
     "resolve_workers",
 ]
 
@@ -579,12 +578,3 @@ def kreiss_sandwich_check(
     return KreissSandwich(
         lhs=lhs, mid=mid, rhs=rhs, holds=holds, l_peak=int(np.argmax(norms))
     )
-
-
-def jacobian_norm_bound_check(
-    w: Matrix, activation_derivative_max: float, t_minus_k: int
-) -> float:
-    """(||W||_2 * max sigma')^(t-k): upper bound on the BPTT Jacobian product."""
-    if t_minus_k < 1:
-        raise ValueError("t_minus_k must be >= 1")
-    return (two_norm(w) * activation_derivative_max) ** t_minus_k

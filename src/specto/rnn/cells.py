@@ -453,11 +453,3 @@ def accuracy(cell: CellParams, data, task: str | None = None, tol: float = 0.04)
     if task == "mnist":
         return float(np.mean(np.argmax(logits, axis=1) == data.targets))
     raise ValueError(f"unknown task {task!r}")
-
-
-def extract_recurrent_matrices(cell: CellParams):
-    """Per-gate recurrent matrices in the documented gate order."""
-    from ..matrix import Matrix
-
-    return [(g, Matrix(cell.w_rec[g])) for g in cell.gates]
-

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NumericalError
 from .matrix import Matrix
 
-__all__ = ["StabilizerConfig", "StabilizationResult", "stabilize", "gain_convergence"]
+__all__ = ["StabilizerConfig", "StabilizationResult", "stabilize"]
 
 MAX_RESTARTS = 5  # fresh start vectors tried after an exact dead end
 
@@ -53,57 +53,35 @@ class StabilizationResult:
     v_final: np.ndarray
 
 
-def _start_vector(a: np.ndarray, cfg: StabilizerConfig, rng: np.random.Generator) -> np.ndarray:
-    if cfg.injected_u0 is not None:
-        u0 = np.asarray(cfg.injected_u0, dtype=float)
-        if u0.shape != (a.shape[0],):
-            raise ValueError(
-                f"injected_u0 has dimension {u0.shape[0]}, matrix has {a.shape[0]} rows"
-            )
-        return u0.copy()
-    return rng.normal(0.0, 1.0, a.shape[0])
-
-
-def _power_pairs(a: np.ndarray, cfg: StabilizerConfig, m: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Run m alternating power steps, restarting on an exact dead end."""
+def _power_pair(a: np.ndarray, cfg: StabilizerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) after cfg.m alternating power steps, restarting on an exact dead end."""
     rng = np.random.default_rng(cfg.seed)
-    u = _start_vector(a, cfg, rng)
+    if cfg.injected_u0 is None:
+        u = rng.normal(0.0, 1.0, a.shape[0])
+    else:
+        u = np.asarray(cfg.injected_u0, dtype=float)
+        if u.shape != (a.shape[0],):
+            raise ValueError(f"injected_u0 has dimension {u.shape[0]}, matrix has {a.shape[0]} rows")
     restarts = 0
-    pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    while len(pairs) < m:
+    steps = 0
+    while steps < cfg.m:
         wu = a.T @ u
         nu = np.linalg.norm(wu)
-        if nu == 0.0:
-            restarts += 1
-            if restarts > MAX_RESTARTS:
-                raise NumericalError("power iteration stalled: W^T u vanished repeatedly")
-            u = rng.normal(0.0, 1.0, a.shape[0])
-            pairs.clear()
-            continue
-        v = wu / nu
-        wv = a @ v
-        nv = np.linalg.norm(wv)
-        if nv == 0.0:
-            restarts += 1
-            if restarts > MAX_RESTARTS:
-                raise NumericalError("power iteration stalled: W v vanished repeatedly")
-            u = rng.normal(0.0, 1.0, a.shape[0])
-            pairs.clear()
-            continue
-        u = wv / nv
-        pairs.append((u, v))
-    return pairs
-
-
-def _check_input(w: Matrix) -> np.ndarray:
-    if not w.is_square:
-        raise ValueError(f"stabilize requires a square matrix, got {w.shape}")
-    if not w.is_real:
-        raise ValueError("stabilize requires a real-valued matrix")
-    a = np.ascontiguousarray(w.array.real)
-    if not a.any():
-        raise ValueError("cannot stabilize the zero matrix")
-    return a
+        if nu != 0.0:
+            v = wu / nu
+            wv = a @ v
+            nv = np.linalg.norm(wv)
+            if nv != 0.0:
+                u = wv / nv
+                steps += 1
+                continue
+        restarts += 1
+        if restarts > MAX_RESTARTS:
+            vanished = "W^T u" if nu == 0.0 else "W v"
+            raise NumericalError(f"power iteration stalled: {vanished} vanished repeatedly")
+        u = rng.normal(0.0, 1.0, a.shape[0])
+        steps = 0
+    return u, v
 
 
 def stabilize(w: Matrix, cfg: StabilizerConfig = StabilizerConfig()) -> StabilizationResult:
@@ -113,20 +91,17 @@ def stabilize(w: Matrix, cfg: StabilizerConfig = StabilizerConfig()) -> Stabiliz
     flip of the spectrum (the product is provably positive after a full
     iteration, so this only matters for pathological arithmetic).
     """
-    a = _check_input(w)
-    u, v = _power_pairs(a, cfg, cfg.m)[-1]
+    if not w.is_square:
+        raise ValueError(f"stabilize requires a square matrix, got {w.shape}")
+    if not w.is_real:
+        raise ValueError("stabilize requires a real-valued matrix")
+    a = np.ascontiguousarray(w.array.real)
+    if not a.any():
+        raise ValueError("cannot stabilize the zero matrix")
+    u, v = _power_pair(a, cfg)
     gain = float(abs(u @ (a @ v)))
     if gain == 0.0:
         raise NumericalError("gain estimate vanished")
     return StabilizationResult(
         w_s=Matrix(a / gain), gain_estimate=gain, u_final=u, v_final=v
     )
-
-
-def gain_convergence(w: Matrix, cfg: StabilizerConfig, m_max: int) -> np.ndarray:
-    """Gain estimate after each of 1..m_max iterations (convergence diagnostic)."""
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    a = _check_input(w)
-    pairs = _power_pairs(a, cfg, m_max)
-    return np.array([abs(u @ (a @ v)) for u, v in pairs])

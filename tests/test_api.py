@@ -96,7 +96,7 @@ def test_every_public_name_is_used():
     # name through a name, an attribute (module.name) or an import that is not
     # the re-export of a package's __all__
     names, attrs = Counter(), Counter()
-    for root in ("src", "scripts", "tests", "perfbench"):
+    for root in ("src", "tests", "perfbench"):
         for path in sorted((ROOT / root).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             exported = {

@@ -3,13 +3,12 @@ import pytest
 from scipy.special import expit as sigmoid
 
 import specto.rnn.cells as cells
-from specto import Matrix, jacobian_norm_bound_check, two_norm
+from specto import Matrix, two_norm
 from specto.rnn import (
     GATE_ORDER,
     accuracy,
     backward,
     batch_loss_and_grads,
-    extract_recurrent_matrices,
     forward,
     forward_batch,
     generate_adding,
@@ -386,10 +385,9 @@ class TestJacobianProducts:
             cell, cell_rng = perturbed_cell("rnn", "adding", seed=seed, hidden=6, d=2)
             seq = cell_rng.normal(0, 1, (8, 2))
             norms = rnn_jacobian_product_norms(cell, seq)
-            w = Matrix(cell.w_rec["recurrent"])
+            gain = two_norm(Matrix(cell.w_rec["recurrent"]))  # tanh' <= 1
             for span, val in enumerate(norms, start=1):
-                bound = jacobian_norm_bound_check(w, 1.0, span)
-                assert val <= bound * (1 + 1e-10)
+                assert val <= gain**span * (1 + 1e-10)
 
     def test_contractive_weights_shrink(self):
         cell = init_cell("rnn", 2, 4, 1, seed=0)
@@ -454,11 +452,12 @@ class TestPredictions:
 class TestGateExtraction:
     @pytest.mark.parametrize("kind,count", (("rnn", 1), ("lstm", 4), ("gru", 3)))
     def test_counts_and_order(self, kind, count):
+        # the per-gate recurrent matrices the CLI writes and analyzes, in the documented order
         cell = init_cell(kind, 3, 4, 2, seed=0)
-        mats = extract_recurrent_matrices(cell)
-        assert [g for g, _ in mats] == list(GATE_ORDER[kind])
-        assert len(mats) == count
-        for g, m in mats:
+        assert list(cell.gates) == list(GATE_ORDER[kind])
+        assert len(cell.gates) == count
+        for g in cell.gates:
+            m = Matrix(cell.w_rec[g])
             assert m.shape == (4, 4)
             np.testing.assert_allclose(m.array.real, cell.w_rec[g], atol=0)
 

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from specto import (
     Matrix,
     MatrixContainer,
+    load_matrix_any,
     parse_report,
-    read_matrix_file,
     serialize_report,
     write_matrix_file,
 )
@@ -96,6 +96,22 @@ class TestAnalyze:
         assert captured.err.count("\n") == 1 and "usage error" in captured.err and "finite" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_stability_tol_exit_2_before_any_output(self, tmp_path, identity_csv, capsys, command, tol):
+        inputs = [identity_csv] * (1 if command == "analyze" else 2)
+        out = tmp_path / "o"
+        assert run([command, *inputs, "--out", out, "--stability-tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "usage error" in captured.err and "--stability-tol" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_zero_stability_tol_accepted(self, tmp_path, identity_csv):
+        out = tmp_path / "o"
+        assert run(["analyze", identity_csv, "--out", out, "--nx", "21", "--ny", "21", "--stability-tol", "0"]) == 0
+        assert parse_report((out / "report.json").read_text()).matrices[0].stable  # rho = 1 <= 1 + 0
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -226,7 +242,7 @@ class TestStabilize:
         printed = capsys.readouterr().out.strip()
         assert float(printed) == pytest.approx(2.0, abs=1e-9)
         assert printed == repr(float(printed))  # the shortest text of the exact double
-        got = read_matrix_file(dst).matrix
+        got, _ = load_matrix_any(dst)
         np.testing.assert_allclose(got.array.real, np.diag([1.0, 0.25]), atol=1e-9)
 
     def test_identity_unchanged(self, tmp_path, capsys):
@@ -249,7 +265,7 @@ class TestStabilize:
         write_matrix_file(src, Matrix([[2.0, 0.0], [0.0, 1.0]]))
         dst = tmp_path / "out.pspc"
         assert run(["stabilize", src, dst]) == 0
-        assert read_matrix_file(dst).name == "w"
+        assert load_matrix_any(dst)[1] == "w"
 
     def test_one_iteration_reports_a_radius_above_one(self, tmp_path, capsys):
         # one iteration underestimates sigma_max = 2, so W_s = W/gain keeps rho > 1
@@ -367,6 +383,15 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert "usage error" in err and "sizes must be positive" in err
+
+    @pytest.mark.parametrize("flag, value", [("--clip", "-1"), ("--clip", "nan"), ("--snapshot-every", "-1")])
+    def test_negative_setting_exit_2_before_training(self, tmp_path, capsys, monkeypatch, flag, value):
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("training started"))
+        out = tmp_path / "o"
+        assert run(["train", "--task", "adding", "--out", out, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("specto: usage error:") and flag in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_lr_zero_flat_history(self, tmp_path):
         out = tmp_path / "flat"

@@ -14,7 +14,6 @@ from specto import (
     Matrix,
     NumericalError,
     eigenvalues,
-    frobenius_norm,
     mat_power_norms,
     schur,
     singular_values,
@@ -48,7 +47,7 @@ class TestConstruction:
         assert m.is_real
 
     def test_array_is_write_locked(self):
-        m = Matrix.identity(3)
+        m = Matrix(np.eye(3))
         with pytest.raises(ValueError):
             m.array[0, 0] = 5.0
 
@@ -56,32 +55,18 @@ class TestConstruction:
         src = np.eye(2)
         m = Matrix(src)
         src[0, 0] = 7.0
-        assert m[0, 0] == 1.0
+        assert m.array[0, 0] == 1.0
 
-    def test_arithmetic_shapes(self):
-        a = Matrix.identity(2)
-        b = Matrix.zeros(2, 3)
-        assert (a @ b).shape == (2, 3)
-        with pytest.raises(ValueError):
-            a @ Matrix.zeros(3, 3)
-        with pytest.raises(ValueError):
-            a + b
-
-
-class TestFrobenius:
-    def test_identity(self):
-        assert frobenius_norm(Matrix.identity(2)) == pytest.approx(np.sqrt(2), abs=1e-12)
-
-    def test_zero(self):
-        assert frobenius_norm(Matrix.zeros(3, 3)) == 0.0
-
-    def test_single_entry(self):
-        assert frobenius_norm(JORDAN2) == 1.0
+    def test_does_no_arithmetic(self):
+        m = Matrix(np.eye(2))
+        for op in (lambda: m @ m, lambda: m + m, lambda: 2.0 * m, lambda: -m, lambda: m[0, 0]):
+            with pytest.raises(TypeError):
+                op()
 
 
 class TestTwoNormAndSingularValues:
     def test_diagonal(self):
-        assert two_norm(Matrix.diag([2.0, 0.5])) == pytest.approx(2.0, abs=1e-12)
+        assert two_norm(Matrix(np.diag([2.0, 0.5]))) == pytest.approx(2.0, abs=1e-12)
 
     def test_jordan_block_vs_2x2_oracle(self):
         # singular values are sqrt of eigenvalues of A^H A = [[0,0],[0,1]]
@@ -89,7 +74,7 @@ class TestTwoNormAndSingularValues:
         np.testing.assert_allclose(singular_values(Matrix([[0, 2], [0, 0]])), [2.0, 0.0], atol=1e-12)
 
     def test_identity(self):
-        assert two_norm(Matrix.identity(7)) == pytest.approx(1.0, abs=1e-12)
+        assert two_norm(Matrix(np.eye(7))) == pytest.approx(1.0, abs=1e-12)
 
     def test_overflowing_singular_value_is_numerical_error(self):
         # sigma_max = 1.5e308 * sqrt(2): finite entries, a 2-norm past the float range
@@ -97,7 +82,7 @@ class TestTwoNormAndSingularValues:
             singular_values(Matrix([[1.5e308, 1.5e308], [0.0, 0.0]]))
 
     def test_diag_descending(self):
-        np.testing.assert_allclose(singular_values(Matrix.diag([3.0, 1.0])), [3.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(singular_values(Matrix(np.diag([3.0, 1.0]))), [3.0, 1.0], atol=1e-12)
 
     def test_unitary_has_unit_singular_values(self, rng):
         q = random_unitary(rng, 6)
@@ -117,7 +102,7 @@ class TestTwoNormAndSingularValues:
             r = int(rng.integers(1, 9))
             c = int(rng.integers(1, 9))
             m = random_matrix(rng, r, c)
-            lo, fro = two_norm(m), frobenius_norm(m)
+            lo, fro = two_norm(m), np.linalg.norm(m.array)
             assert lo <= fro * (1 + 1e-12)
             assert fro <= np.sqrt(min(r, c)) * lo * (1 + 1e-12)
 
@@ -126,12 +111,12 @@ class TestTwoNormAndSingularValues:
             n = int(rng.integers(1, 8))
             a = random_matrix(rng, n)
             b = random_matrix(rng, n)
-            assert two_norm(a @ b) <= two_norm(a) * two_norm(b) * (1 + 1e-12)
+            assert two_norm(Matrix(a.array @ b.array)) <= two_norm(a) * two_norm(b) * (1 + 1e-12)
 
 
 class TestEigenvalues:
     def test_diagonal(self):
-        assert_multiset_close(eigenvalues(Matrix.diag([2.0, 0.5])), [2.0, 0.5])
+        assert_multiset_close(eigenvalues(Matrix(np.diag([2.0, 0.5]))), [2.0, 0.5])
 
     def test_rotation_is_pure_imaginary(self):
         assert_multiset_close(eigenvalues(Matrix([[0, 1], [-1, 0]])), [1j, -1j])
@@ -141,7 +126,7 @@ class TestEigenvalues:
 
     def test_requires_square(self):
         with pytest.raises(ValueError, match="square"):
-            eigenvalues(Matrix.zeros(2, 3))
+            eigenvalues(Matrix(np.zeros((2, 3))))
 
     def test_sum_equals_trace(self, rng):
         for _ in range(30):
@@ -149,14 +134,14 @@ class TestEigenvalues:
             assert eigenvalues(m).sum() == pytest.approx(np.trace(m.array), rel=1e-8)
 
     def test_spectral_radius(self):
-        assert spectral_radius(Matrix.diag([0.5, -2.0])) == pytest.approx(2.0, abs=1e-12)
+        assert spectral_radius(Matrix(np.diag([0.5, -2.0]))) == pytest.approx(2.0, abs=1e-12)
 
 
 class TestSchur:
     def _check_invariants(self, m):
         f = schur(m)
         n = m.rows
-        scale = max(1.0, frobenius_norm(m))
+        scale = max(1.0, np.linalg.norm(m.array))
         recon = f.q.array @ f.t.array @ f.q.array.conj().T
         assert np.linalg.norm(recon - m.array) <= 1e-10 * scale
         assert np.linalg.norm(f.q.array.conj().T @ f.q.array - np.eye(n)) <= 1e-10
@@ -167,11 +152,11 @@ class TestSchur:
 
     def test_already_triangular(self):
         f = self._check_invariants(Matrix([[1.0, 3.0], [0.0, 2.0]]))
-        assert frobenius_norm(f.n_strict) == pytest.approx(3.0, abs=1e-10)
+        assert np.linalg.norm(f.n_strict.array) == pytest.approx(3.0, abs=1e-10)
 
     def test_hermitian_gives_diagonal_t(self, rng):
         f = schur(random_hermitian(rng, 5))
-        assert frobenius_norm(f.n_strict) <= 1e-10
+        assert np.linalg.norm(f.n_strict.array) <= 1e-10
 
     def test_random_reconstruction(self, rng):
         for _ in range(20):
@@ -179,7 +164,7 @@ class TestSchur:
 
     def test_requires_square(self):
         with pytest.raises(ValueError, match="square"):
-            schur(Matrix.zeros(3, 2))
+            schur(Matrix(np.zeros((3, 2))))
 
     def test_overflowing_eigenvalue_is_numerical_error(self):
         # eigenvalues 0 and 2e308: finite entries, an eigenvalue past the float range
@@ -215,23 +200,23 @@ class TestNormalMatrixNormEqualsRadius:
 
 class TestMatPowerNorms:
     def test_identity(self):
-        np.testing.assert_allclose(mat_power_norms(Matrix.identity(3), 5), np.ones(6), atol=1e-12)
+        np.testing.assert_allclose(mat_power_norms(Matrix(np.eye(3)), 5), np.ones(6), atol=1e-12)
 
     def test_nilpotent(self):
         np.testing.assert_allclose(mat_power_norms(JORDAN2, 2), [1.0, 1.0, 0.0], atol=1e-12)
 
     def test_scalar_decay(self):
         np.testing.assert_allclose(
-            mat_power_norms(Matrix.diag([0.5]), 3), [1.0, 0.5, 0.25, 0.125], atol=1e-12
+            mat_power_norms(Matrix(np.diag([0.5])), 3), [1.0, 0.5, 0.25, 0.125], atol=1e-12
         )
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            mat_power_norms(Matrix.identity(2), -1)
+            mat_power_norms(Matrix(np.eye(2)), -1)
 
     def test_overflow_reported(self):
         with pytest.raises(NumericalError, match="overflow"):
-            mat_power_norms(Matrix.diag([1e300]), 3)
+            mat_power_norms(Matrix(np.diag([1e300])), 3)
 
 
 @settings(max_examples=40, deadline=None)

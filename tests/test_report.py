@@ -53,7 +53,7 @@ class TestRoundTrip:
         assert back.matrices[0].kreiss_lower_bound is None
 
     def test_awkward_floats_round_trip(self):
-        m = build_matrix_report("x", Matrix.identity(2))
+        m = build_matrix_report("x", Matrix(np.eye(2)))
         for v in AWKWARD_FLOATS:
             m.henrici = float(v)
             rep = AnalysisReport(version="0", config={}, matrices=[m])
@@ -61,7 +61,7 @@ class TestRoundTrip:
             assert back.matrices[0].henrici == float(v)
 
     def test_negative_zero_and_integral_floats_round_trip_as_text(self):
-        m = build_matrix_report("x", Matrix.identity(2))
+        m = build_matrix_report("x", Matrix(np.eye(2)))
         m.henrici = -0.0
         m.schur_departure = 1.0
         m.eigenvalues = [[1.0, -0.0], [-2.0, 0.0]]
@@ -88,7 +88,7 @@ class TestRoundTrip:
         assert list(doc["matrices"][0]["grid"]) == ["re_min", "re_max", "im_min", "im_max", "nx", "ny"]
 
     def test_non_finite_rejected(self):
-        m = build_matrix_report("x", Matrix.identity(2))
+        m = build_matrix_report("x", Matrix(np.eye(2)))
         m.henrici = np.inf
         with pytest.raises(ValueError, match="Out of range float values"):
             serialize_report(AnalysisReport(version="0", config={}, matrices=[m]))
@@ -100,9 +100,9 @@ class TestRoundTrip:
 
 class TestSpectralReport:
     def test_stability_verdict(self):
-        rep = build_matrix_report("s", Matrix.diag([0.5, -0.9]))
+        rep = build_matrix_report("s", Matrix(np.diag([0.5, -0.9])))
         assert rep.stable
-        rep2 = build_matrix_report("u", Matrix.diag([1.5]))
+        rep2 = build_matrix_report("u", Matrix(np.diag([1.5])))
         assert not rep2.stable
 
     def test_kreiss_requires_field(self, rng):
@@ -130,7 +130,7 @@ class TestSpectralReport:
 
 class TestContourCsv:
     def test_structure(self, tmp_path, rng):
-        w = Matrix.identity(2)
+        w = Matrix(np.eye(2))
         field = compute_field(w, GridSpec(-0.5, 2.5, -1.5, 1.5, 61, 61), workers=1)
         contours = extract_contours(field, [0.2, 0.4])
         path = tmp_path / "c.csv"
