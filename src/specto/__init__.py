@@ -33,6 +33,7 @@ from .pseudospectrum import (
     auto_grid,
     check_levels,
     compute_field,
+    compute_fields,
     extract_contours,
     kreiss_lower_bound,
     kreiss_sandwich_check,
@@ -84,6 +85,7 @@ __all__ = [
     "check_levels",
     "compare_svg",
     "compute_field",
+    "compute_fields",
     "container_from_bytes",
     "container_to_bytes",
     "eigenvalues",

@@ -1,11 +1,16 @@
 """Command-line pipeline: analyze, train, stabilize, compare.
 
 Exit codes: 0 success, 2 usage error, 3 input format error, 4 numerical
-failure. SPECTO_THREADS caps the grid-evaluation worker count (default:
-machine parallelism). Report and SVG outputs contain no timestamps or
-filesystem paths, so identical flags and seeds reproduce identical bytes;
---timing prints per-matrix wall time and evaluated grid nodes to stderr and
-leaves the outputs alone.
+failure. ``analyze`` and ``compare`` compute the fields of all their
+matrices at once, on one pool of SVD workers per command; --workers, else
+SPECTO_THREADS, sizes that pool (default: machine parallelism). They make
+the output directory only once every field and report is built, so a
+failing command writes nothing, and ``train`` makes it only after its
+settings and data check out. Report and SVG outputs contain no timestamps
+or filesystem paths, so identical flags and seeds reproduce identical
+bytes; --timing prints to stderr, for each matrix, the seconds from the
+start of the shared field phase to the end of that matrix's report, and
+its evaluated grid nodes, and leaves the outputs alone.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .pseudospectrum import (
     GridSpec,
     auto_grid,
     check_levels,
-    compute_field,
+    compute_fields,
     extract_contours,
 )
 from .report import (
@@ -97,41 +102,32 @@ def _grid_flags(sub):
         help="explicit grid bounds (overrides the automatic box)",
     )
     sub.add_argument("--eps", help="comma-separated pseudospectrum levels (default: 6 log-spaced)")
-    sub.add_argument("--workers", type=int, help="grid workers (default: SPECTO_THREADS or cpu count)")
+    sub.add_argument(
+        "--workers", type=int, help="SVD workers shared by all matrices (default: SPECTO_THREADS or cpu count)"
+    )
 
 
 def cmd_analyze(args) -> int:
     eps = _parse_eps(args.eps)
     _check_stability_tol(args.stability_tol)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     loaded = [load_matrix_any(p) for p in args.inputs]
     names = _unique_names(name for _, name in loaded)
-    reports = []
     for (m, _), name in zip(loaded, names):
         if not m.is_square:
             raise FormatError(f"{name}: pseudospectrum analysis needs a square matrix, got {m.shape}")
-        t0 = time.perf_counter()
-        grid = _grid_for(args, m)
-        field = compute_field(m, grid, eps, workers=args.workers)
-        contours = extract_contours(field, eps)
-        rep = build_matrix_report(name, m, field, contours, stability_tol=args.stability_tol)
+    jobs = [(m, _grid_for(args, m)) for m, _ in loaded]
+    t0 = time.perf_counter()
+    fields = compute_fields(jobs, eps, workers=args.workers)
+    contours, reports = [], []
+    for (m, _), field, name in zip(jobs, fields, names):
+        contours.append(extract_contours(field, eps))
+        reports.append(build_matrix_report(name, m, field, contours[-1], stability_tol=args.stability_tol))
         if args.timing:
             print(
                 f"{name}: {time.perf_counter() - t0:.6g} s, "
                 f"{field.evaluated} of {field.exact.size} nodes evaluated",
                 file=sys.stderr,
             )
-        write_contours_csv(out_dir / f"contours-{name}.csv", contours)
-        (out_dir / f"portrait-{name}.svg").write_text(
-            portrait_svg(name, field.eigenvalues, grid, contours), encoding="utf-8"
-        )
-        reports.append(rep)
-        verdict = "stable" if rep.stable else "UNSTABLE"
-        print(
-            f"{name}: {m.rows}x{m.cols} rho={rep.spectral_radius:.6g} "
-            f"norm={rep.spectral_norm:.6g} henrici={rep.henrici:.6g} {verdict}"
-        )
     config = {
         "grid": "explicit" if args.box is not None else "auto",
         "box": list(args.box) if args.box is not None else None,
@@ -142,8 +138,20 @@ def cmd_analyze(args) -> int:
         "stability_tol": args.stability_tol,
         "inputs": names,
     }
-    report = AnalysisReport(version=__version__, config=config, matrices=reports)
-    (out_dir / "report.json").write_text(serialize_report(report), encoding="utf-8")
+    text = serialize_report(AnalysisReport(version=__version__, config=config, matrices=reports))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for (m, grid), field, name, contour, rep in zip(jobs, fields, names, contours, reports):
+        write_contours_csv(out_dir / f"contours-{name}.csv", contour)
+        (out_dir / f"portrait-{name}.svg").write_text(
+            portrait_svg(name, field.eigenvalues, grid, contour), encoding="utf-8"
+        )
+        verdict = "stable" if rep.stable else "UNSTABLE"
+        print(
+            f"{name}: {m.rows}x{m.cols} rho={rep.spectral_radius:.6g} "
+            f"norm={rep.spectral_norm:.6g} henrici={rep.henrici:.6g} {verdict}"
+        )
+    (out_dir / "report.json").write_text(text, encoding="utf-8")
     return 0
 
 
@@ -160,8 +168,6 @@ def cmd_stabilize(args) -> int:
 def cmd_compare(args) -> int:
     eps = _parse_eps(args.eps)
     _check_stability_tol(args.stability_tol)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     before, before_name = load_matrix_any(args.before)
     after, after_name = load_matrix_any(args.after)
     if before.shape != after.shape:
@@ -170,7 +176,7 @@ def cmd_compare(args) -> int:
         )
     before_name, after_name = _unique_names([f"before-{before_name}", f"after-{after_name}"])
     grid = _grid_for(args, before, after)
-    fields = [compute_field(m, grid, eps, workers=args.workers) for m in (before, after)]
+    fields = compute_fields([(before, grid), (after, grid)], eps, workers=args.workers)
     contours = [extract_contours(f, eps) for f in fields]
     reports = [
         build_matrix_report(n, m, f, c, stability_tol=args.stability_tol)
@@ -188,12 +194,15 @@ def cmd_compare(args) -> int:
             (b and a / b) if b else None for a, b in zip(counts[1], counts[0])
         ],
     }
-    (out_dir / "compare.json").write_text(emit(delta), encoding="utf-8")
+    text = emit(delta)
     svg = compare_svg(
         (before_name, fields[0].eigenvalues, contours[0]),
         (after_name, fields[1].eigenvalues, contours[1]),
         grid,
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "compare.json").write_text(text, encoding="utf-8")
     (out_dir / "compare.svg").write_text(svg, encoding="utf-8")
     print(
         f"henrici {reports[0].henrici:.6g} -> {reports[1].henrici:.6g}; "
@@ -221,8 +230,6 @@ def cmd_train(args) -> int:
         raise ValueError(f"--clip must be >= 0 (0 disables clipping), got {args.clip!r}")
     if args.snapshot_every < 0:
         raise ValueError(f"--snapshot-every must be >= 0 (0 disables snapshots), got {args.snapshot_every}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = TrainConfig(
         task=args.task,
         kind=args.kind,
@@ -255,6 +262,8 @@ def cmd_train(args) -> int:
                 f"--train-size {args.train_size} and --test-size {args.test_size} leave "
                 f"{len(train_ds)} training and {len(eval_ds)} evaluation images"
             )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_gates(cell, tag):
         for gate in cell.gates:
@@ -299,7 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     _grid_flags(p)
     p.add_argument("--stability-tol", type=float, default=DEFAULT_STABILITY_TOL)
-    p.add_argument("--timing", action="store_true", help="print each matrix's wall time and evaluated nodes to stderr")
+    p.add_argument(
+        "--timing",
+        action="store_true",
+        help="print each matrix's seconds since the fields began and its evaluated nodes to stderr",
+    )
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("train", help="train a recurrent cell and track its spectrum")

@@ -27,6 +27,7 @@ __all__ = [
     "check_levels",
     "sigma_min_at",
     "compute_field",
+    "compute_fields",
     "auto_grid",
     "extract_contours",
     "pseudospectral_radius",
@@ -49,6 +50,11 @@ _BRACKET_MARGIN = 1e-12
 
 # Steps of the lattices on which compute_field refines the field, coarsest first.
 _LATTICE_STEPS = (8, 4, 2)
+
+# Jobs compute_fields drives at once per SVD worker: enough to keep the pool
+# fed while a driver does its bracket arithmetic, few enough to bound the
+# threads and the per-job buffers of a command with many matrices.
+_DRIVERS_PER_WORKER = 2
 
 DEFAULT_GRID_NODES = 200
 DEFAULT_GRID_PAD = 0.5
@@ -206,23 +212,16 @@ def sigma_min_at(w: Matrix, lam: complex) -> float:
     return float(_sigma_min_stack(w.array, np.array([lam], dtype=np.complex128))[0])
 
 
-def _evaluate(a: np.ndarray, lams: np.ndarray, workers: int) -> np.ndarray:
-    """sigma_min(a - lam*I) for a flat array of nodes, in fixed-size chunks."""
-    out = np.empty(lams.size)
+def _evaluate(a: np.ndarray, lams: np.ndarray, pool: ThreadPoolExecutor | None) -> np.ndarray:
+    """sigma_min(a - lam*I) for a flat array of nodes, in fixed-size chunks run on ``pool`` if given."""
     chunk = max(1, _CHUNK_SCALARS // a.size)
-    spans = [(s, min(s + chunk, lams.size)) for s in range(0, lams.size, chunk)]
-
-    def run(span):
-        lo, hi = span
-        out[lo:hi] = _sigma_min_stack(a, lams[lo:hi])
-
-    if workers == 1 or len(spans) <= 1:
-        for span in spans:
-            run(span)
+    parts = [lams[s : s + chunk] for s in range(0, lams.size, chunk)]
+    if pool is None:
+        sigmas = [_sigma_min_stack(a, part) for part in parts]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, spans))
-    return out
+        futures = [pool.submit(_sigma_min_stack, a, part) for part in parts]
+        sigmas = [f.result() for f in futures]
+    return np.concatenate(sigmas) if sigmas else np.empty(0)
 
 
 def _lattice(n: int, step: int, folded: bool) -> np.ndarray:
@@ -308,15 +307,55 @@ def compute_field(w: Matrix, grid: GridSpec, levels=None, *, workers: int | None
 
     Each node is a full SVD, batched through LAPACK in chunks of fixed size
     that may fan out to threads, so the values are bitwise identical for
-    every worker count.
+    every worker count. This is the one-job case of ``compute_fields``.
     """
-    if not w.is_square:
-        raise ValueError(f"compute_field requires a square matrix, got {w.shape}")
+    return compute_fields([(w, grid)], levels, workers=workers)[0]
+
+
+def compute_fields(jobs, levels=None, *, workers: int | None = None) -> list[PseudospectrumField]:
+    """``compute_field`` of every ``(W, grid)`` job, sharing one pool of SVD workers.
+
+    The pool has ``resolve_workers(workers)`` threads. Each job runs its
+    certification stages in a driver thread of its own (at most
+    ``_DRIVERS_PER_WORKER`` per worker at once) and sends its SVD chunks to
+    the shared pool, so one job's small stages and bracket arithmetic
+    overlap the other jobs' SVDs. The chunks are those of a job run alone,
+    so every field is bitwise the one ``compute_field`` returns. With one
+    worker the jobs run one after another on the calling thread. The
+    eigenvalues of every W are taken on the calling thread before any
+    driver starts, so the threads call no module-level function of another
+    specto module. If a job fails, the error of the first failing job in
+    input order is raised once every thread has stopped.
+    """
+    jobs = list(jobs)
+    for w, _ in jobs:
+        if not w.is_square:
+            raise ValueError(f"compute_field requires a square matrix, got {w.shape}")
     if levels is not None:
         levels = check_levels(levels)
+    spectra = [eigenvalues(w) for w, _ in jobs]
+    nworkers = resolve_workers(workers)
+    if nworkers == 1 or not jobs:
+        return [_field(w, grid, levels, spectrum, None) for (w, grid), spectrum in zip(jobs, spectra)]
+    ndrivers = min(len(jobs), _DRIVERS_PER_WORKER * nworkers)
+    with ThreadPoolExecutor(nworkers) as pool, ThreadPoolExecutor(ndrivers) as drivers:
+        futures = [
+            drivers.submit(_field, w, grid, levels, spectrum, pool) for (w, grid), spectrum in zip(jobs, spectra)
+        ]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            # stop the other jobs: their queued chunks are dropped, so their drivers fail fast
+            for f in futures:
+                f.cancel()
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+
+
+def _field(w: Matrix, grid: GridSpec, levels, spectrum: np.ndarray, pool) -> PseudospectrumField:
+    """One job of ``compute_fields``: the stages of ``compute_field``, its SVD chunks run on ``pool``."""
     a = w.array
     nodes = grid.nodes()
-    nworkers = resolve_workers(workers)
     folded = w.is_real and grid.im_min == -grid.im_max
     mirror = np.arange(grid.ny)  # column j reads its values from column mirror[j]
     skew = 0.0
@@ -332,7 +371,7 @@ def compute_field(w: Matrix, grid: GridSpec, levels=None, *, workers: int | None
     def evaluate(mask):
         nonlocal evaluated
         mask = (mask | mask[:, mirror]) & ~exact
-        values[mask & own] = _evaluate(a, nodes[mask & own], nworkers)
+        values[mask & own] = _evaluate(a, nodes[mask & own], pool)
         values[:, ~own] = values[:, mirror[~own]]
         exact[mask] = True
         evaluated += int((mask & own).sum())
@@ -381,7 +420,7 @@ def compute_field(w: Matrix, grid: GridSpec, levels=None, *, workers: int | None
         values = np.where(exact, values, np.maximum(lo, 0.0))
     values.setflags(write=False)
     return PseudospectrumField(
-        grid=grid, values=values, eigenvalues=eigenvalues(w), levels=levels, exact=exact, evaluated=evaluated
+        grid=grid, values=values, eigenvalues=spectrum, levels=levels, exact=exact, evaluated=evaluated
     )
 
 

@@ -156,17 +156,26 @@ _DIGIT_SEGMENTS = {
 }
 
 
-def _raster_digit(digit: int, rng: np.random.Generator, size: int) -> np.ndarray:
+def _glyph_blocks(digit: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the 2x2 blocks that draw ``digit`` unjittered, one per sample point."""
+    t = np.linspace(0.0, 1.0, 3 * size)
+    rows, cols = [], []
+    for seg in _DIGIT_SEGMENTS[digit]:
+        (x0, y0), (x1, y1) = _SEGMENT_ENDPOINTS[seg]
+        cols.append(np.rint((x0 + t * (x1 - x0)) * (size - 1)))
+        rows.append(np.rint((y0 + t * (y1 - y0)) * (size - 1)))
+    return np.concatenate(rows).astype(np.intp), np.concatenate(cols).astype(np.intp)
+
+
+def _raster_digit(blocks: tuple[np.ndarray, np.ndarray], rng: np.random.Generator, size: int) -> np.ndarray:
     img = np.zeros((size, size))
     dx, dy = rng.integers(-3, 4, 2)
     bright = rng.uniform(0.7, 1.0)
-    for seg in _DIGIT_SEGMENTS[digit]:
-        (x0, y0), (x1, y1) = _SEGMENT_ENDPOINTS[seg]
-        for t in np.linspace(0.0, 1.0, 3 * size):
-            col = int(round((x0 + t * (x1 - x0)) * (size - 1))) + dx
-            row = int(round((y0 + t * (y1 - y0)) * (size - 1))) + dy
-            if 0 <= row < size - 1 and 0 <= col < size - 1:
-                img[row : row + 2, col : col + 2] = bright
+    rows, cols = blocks[0] + dy, blocks[1] + dx
+    inside = (0 <= rows) & (rows < size - 1) & (0 <= cols) & (cols < size - 1)
+    rows, cols = rows[inside], cols[inside]
+    for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        img[rows + r, cols + c] = bright
     noise = rng.uniform(0.0, 0.12, (size, size)) * (rng.random((size, size)) < 0.05)
     return np.clip((img + noise) * 255.0, 0, 255).astype(np.uint8)
 
@@ -175,5 +184,6 @@ def synthetic_digits(n: int, seed: int = 0, size: int = 28) -> tuple[np.ndarray,
     """(images uint8 (n, size, size), labels) with jittered glyphs per class."""
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 10, n).astype(np.uint8)
-    images = np.stack([_raster_digit(int(lbl), rng, size) for lbl in labels])
+    glyphs = [_glyph_blocks(digit, size) for digit in range(10)]
+    images = np.stack([_raster_digit(glyphs[lbl], rng, size) for lbl in labels])
     return images, labels

@@ -185,18 +185,18 @@ class TestAnalyze:
     def test_timing_counts_the_svds_that_ran(self, tmp_path, rng, capsys, monkeypatch):
         path = tmp_path / "w.pspc"
         write_matrix_file(path, Matrix(rng.standard_normal((6, 6)) * 0.4), name="w")
-        stack, compute_field, sizes, fields = pseudospectrum._sigma_min_stack, cli.compute_field, [], []
+        stack, compute_fields, sizes, fields = pseudospectrum._sigma_min_stack, cli.compute_fields, [], []
 
         def recording(a, lams):
             sizes.append(lams.size)
             return stack(a, lams)
 
         def kept(*args, **kwargs):
-            fields.append(compute_field(*args, **kwargs))
-            return fields[-1]
+            fields.extend(compute_fields(*args, **kwargs))
+            return fields
 
         monkeypatch.setattr(pseudospectrum, "_sigma_min_stack", recording)
-        monkeypatch.setattr(cli, "compute_field", kept)
+        monkeypatch.setattr(cli, "compute_fields", kept)
         assert run(["analyze", path, "--out", tmp_path / "o", "--nx", "41", "--ny", "41", "--timing"]) == 0
         evaluated = int(capsys.readouterr().err.split()[3])
         assert evaluated == sum(sizes) == fields[0].evaluated
@@ -323,19 +323,19 @@ class TestCertifiedField:
         for k, scale in enumerate((0.3, 0.6)):
             paths.append(tmp_path / f"w{k}.pspc")
             write_matrix_file(paths[-1], Matrix(rng.standard_normal((8, 8)) * scale), name=f"w{k}")
-        compute_field, evaluated = cli.compute_field, []
+        compute_fields, evaluated = cli.compute_fields, []
 
-        def certified(m, grid, levels=None, *, workers=None):
-            field = compute_field(m, grid, levels, workers=workers)
-            evaluated.append(field.exact.mean())
-            return field
+        def certified(jobs, levels=None, *, workers=None):
+            fields = compute_fields(jobs, levels, workers=workers)
+            evaluated.extend(field.exact.mean() for field in fields)
+            return fields
 
-        def exact(m, grid, levels=None, *, workers=None):
-            return compute_field(m, grid, workers=workers)
+        def exact(jobs, levels=None, *, workers=None):
+            return compute_fields(jobs, workers=workers)
 
         runs = {}
         for tag, patched in (("certified", certified), ("exact", exact)):
-            monkeypatch.setattr(cli, "compute_field", patched)
+            monkeypatch.setattr(cli, "compute_fields", patched)
             out = tmp_path / tag
             grid = ["--nx", "61", "--ny", "53", *eps]
             assert run(["analyze", *paths, "--out", out / "ana", *grid]) == 0
@@ -345,6 +345,91 @@ class TestCertifiedField:
         assert len(evaluated) == 4 and max(evaluated) < 1.0  # every field skipped some nodes
         assert sorted(runs["certified"][0]) == sorted(runs["exact"][0])
         assert runs["certified"] == runs["exact"]
+
+
+def _outputs(out):
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+class TestSeveralMatrices:
+    GRID = ("--nx", "41", "--ny", "37")
+
+    @pytest.fixture
+    def gates(self, tmp_path, rng):
+        paths = []
+        for k, (n, complex_entries) in enumerate(((8, False), (5, True), (8, False))):
+            a = rng.standard_normal((n, n)) * 0.4
+            if complex_entries:
+                a = a + 0.4j * rng.standard_normal((n, n))
+            paths.append(tmp_path / f"g{k}.pspc")
+            write_matrix_file(paths[-1], Matrix(a), name=f"g{k}")
+        return paths
+
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, gates, capsys):
+        runs = []
+        for workers in ("1", "3"):
+            out = tmp_path / f"workers{workers}"
+            assert run(["analyze", *gates, "--out", out / "ana", *self.GRID, "--workers", workers]) == 0
+            assert run(["compare", gates[0], gates[2], "--out", out / "cmp", *self.GRID, "--workers", workers]) == 0
+            runs.append((_outputs(out), capsys.readouterr()))
+        assert len(runs[0][0]) == 3 * 2 + 1 + 2
+        assert runs[0] == runs[1]
+
+    def test_each_matrix_as_when_analyzed_alone(self, tmp_path, gates, capsys):
+        assert run(["analyze", *gates, "--out", tmp_path / "all", *self.GRID]) == 0
+        together = _outputs(tmp_path / "all")
+        lines = capsys.readouterr().out.splitlines()
+        report = json.loads(together.pop(Path("report.json")))
+        assert len(lines) == len(report["matrices"]) == len(gates)
+        for k, path in enumerate(gates):
+            out = tmp_path / f"alone{k}"
+            assert run(["analyze", path, "--out", out, *self.GRID]) == 0
+            assert capsys.readouterr().out.splitlines() == [lines[k]]
+            alone = _outputs(out)
+            assert json.loads(alone.pop(Path("report.json")))["matrices"] == [report["matrices"][k]]
+            assert sorted(alone) == [Path(f"contours-g{k}.csv"), Path(f"portrait-g{k}.svg")]
+            for name, data in alone.items():
+                assert together[name] == data
+
+
+class TestFailuresWriteNothing:
+    def test_analyze_grid_usage_error(self, tmp_path, identity_csv, capsys):
+        out = tmp_path / "o"
+        assert run(["analyze", identity_csv, "--out", out, "--nx", "1"]) == 2
+        assert "at least 2 nodes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_analyze_second_input_not_square(self, tmp_path, identity_csv, capsys):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("1,0,0\n0,1,0\n")
+        out = tmp_path / "o"
+        assert run(["analyze", identity_csv, wide, "--out", out, "--nx", "11", "--ny", "11"]) == 3
+        assert "square" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_overflowing_field(self, tmp_path, identity_csv, capsys, command):
+        one, huge = tmp_path / "one.csv", tmp_path / "huge.csv"
+        one.write_text("1\n")
+        huge.write_text("-1.7e308\n")  # -1.7e308 - 1.7e308 overflows at the box's right edge
+        out = tmp_path / "o"
+        box = ["--box", "0", "1.7e308", "-1", "1", "--nx", "9", "--ny", "9"]
+        assert run([command, one, huge, "--out", out, *box]) == 4
+        assert "sigma_min overflowed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_bad_batch(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("training started"))
+        out = tmp_path / "t"
+        assert run(["train", "--task", "adding", "--out", out, "--batch", "0"]) == 2
+        assert "batch" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_missing_mnist_file(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        argv = ["train", "--task", "mnist", "--out", out, "--mnist-images", tmp_path / "none.idx"]
+        assert run([*argv, "--mnist-labels", tmp_path / "none2.idx"]) == 3
+        assert not out.exists()
 
 
 class TestTrain:

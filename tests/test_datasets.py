@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specto.rnn.datasets as datasets
 from specto import FormatError
 from specto.rnn import (
     Dataset,
@@ -141,6 +142,37 @@ class TestSyntheticDigits:
         means = [images[labels == k].mean(axis=0) for k in range(10)]
         d01 = np.abs(means[0] - means[1]).mean()
         assert d01 > 5.0
+
+
+def _reference_digits(n, seed, size):
+    """synthetic_digits painted one sample point at a time, as the glyphs were first drawn."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 10, n).astype(np.uint8)
+    images = []
+    for digit in labels:
+        img = np.zeros((size, size))
+        dx, dy = rng.integers(-3, 4, 2)
+        bright = rng.uniform(0.7, 1.0)
+        for seg in datasets._DIGIT_SEGMENTS[int(digit)]:
+            (x0, y0), (x1, y1) = datasets._SEGMENT_ENDPOINTS[seg]
+            for t in np.linspace(0.0, 1.0, 3 * size):
+                col = int(round((x0 + t * (x1 - x0)) * (size - 1))) + dx
+                row = int(round((y0 + t * (y1 - y0)) * (size - 1))) + dy
+                if 0 <= row < size - 1 and 0 <= col < size - 1:
+                    img[row : row + 2, col : col + 2] = bright
+        noise = rng.uniform(0.0, 0.12, (size, size)) * (rng.random((size, size)) < 0.05)
+        images.append(np.clip((img + noise) * 255.0, 0, 255).astype(np.uint8))
+    return np.stack(images), labels
+
+
+class TestSyntheticDigitsReference:
+    @pytest.mark.parametrize("size", [8, 28])
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_matches_the_pointwise_painter_bitwise(self, seed, size):
+        images, labels = synthetic_digits(60, seed=seed, size=size)
+        want_images, want_labels = _reference_digits(60, seed, size)
+        assert np.array_equal(labels, want_labels)
+        assert images.tobytes() == want_images.tobytes()
 
 
 class TestDatasetContainer:

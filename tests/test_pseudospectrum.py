@@ -1,3 +1,5 @@
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -22,6 +24,7 @@ from specto import (
     auto_grid,
     check_levels,
     compute_field,
+    compute_fields,
     eigenvalues,
     extract_contours,
     kreiss_lower_bound,
@@ -428,6 +431,92 @@ class TestConjugateFold:
             assert f.evaluated == sum(sizes)
             counts.append(sum(sizes))
         assert counts[0] <= 0.55 * counts[1]
+
+
+def _mixed_jobs(rng):
+    """Real and complex W of sizes 4 and 9, on folded auto grids and on an asymmetric box."""
+    box = GridSpec(-1.3, 1.1, -0.7, 1.6, 29, 23)
+    jobs = []
+    for n in (4, 9):
+        for complex_entries in (False, True):
+            w = random_matrix(rng, n, complex_entries=complex_entries, scale=0.5)
+            jobs += [(w, auto_grid(w, nx=31, ny=27)), (w, box)]
+    return jobs
+
+
+def _assert_same_field(got, want):
+    assert got.grid == want.grid and got.levels == want.levels and got.evaluated == want.evaluated
+    assert got.values.tobytes() == want.values.tobytes()
+    assert np.array_equal(got.exact, want.exact)
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+
+
+class TestComputeFields:
+    @pytest.mark.parametrize("levels", [None, (0.02, 0.1, 0.3)])
+    def test_each_field_is_the_field_alone(self, rng, levels):
+        jobs = _mixed_jobs(rng)
+        alone = [compute_field(w, grid, levels, workers=1) for w, grid in jobs]
+        assert levels is None or not all(f.exact.all() for f in alone)
+        for workers in (1, 2, 3):
+            fields = compute_fields(jobs, levels, workers=workers)
+            assert len(fields) == len(jobs)
+            for got, want in zip(fields, alone):
+                _assert_same_field(got, want)
+
+    def test_no_jobs(self):
+        assert compute_fields([], (0.1,), workers=3) == []
+
+    def test_non_square_job_rejected(self, rng):
+        w = random_matrix(rng, 3)
+        with pytest.raises(ValueError, match="square"):
+            compute_fields([(w, auto_grid(w)), (random_matrix(rng, 2, 3), auto_grid(w))], workers=2)
+
+    def test_eigenvalues_are_taken_on_the_calling_thread(self, rng, monkeypatch):
+        jobs = _mixed_jobs(rng)
+        spectrum, threads = pseudospectrum.eigenvalues, []
+
+        def recording(w):
+            threads.append(threading.current_thread())
+            return spectrum(w)
+
+        monkeypatch.setattr(pseudospectrum, "eigenvalues", recording)
+        compute_fields(jobs, (0.02, 0.1), workers=3)
+        assert threads == [threading.current_thread()] * len(jobs)
+
+    def test_many_jobs_under_fast_thread_switching(self, rng):
+        sizes = (32, 24, 5, 32, 9, 16)
+        ws = [random_matrix(rng, n, complex_entries=k % 2 == 1, scale=0.3) for k, n in enumerate(sizes)]
+        jobs = [(w, auto_grid(w, nx=40, ny=36)) for w in ws]
+        levels = (0.01, 0.1)
+        alone = [compute_field(w, grid, levels, workers=1) for w, grid in jobs]
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: result.append(compute_fields(jobs, levels, workers=4)), daemon=True
+            )
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "compute_fields did not finish within 120 s"
+        for got, want in zip(result[0], alone):
+            _assert_same_field(got, want)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_failing_job_raises_and_stops_every_thread(self, rng, workers):
+        ok = random_matrix(rng, 24, scale=0.3)
+        jobs = [
+            (ok, auto_grid(ok, nx=40, ny=40)),
+            (Matrix([[1.7e308]]), GridSpec(-1.7e308, 0.0, -1.0, 1.0, 9, 9)),  # 1.7e308 + 1.7e308 overflows
+            (ok, auto_grid(ok, nx=60, ny=60)),
+            (ok, auto_grid(ok, nx=50, ny=50)),
+        ]
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match="overflowed"):
+            compute_fields(jobs, (0.01, 0.1), workers=workers)
+        assert threading.active_count() == before
 
 
 class TestAutoGrid:
