@@ -3,14 +3,18 @@
 Exit codes: 0 success, 2 usage error, 3 input format error, 4 numerical
 failure. ``analyze`` and ``compare`` compute the fields of all their
 matrices at once, on one pool of SVD workers per command; --workers, else
-SPECTO_THREADS, sizes that pool (default: machine parallelism). They make
-the output directory only once every field and report is built, so a
-failing command writes nothing, and ``train`` makes it only after its
-settings and data check out. Report and SVG outputs contain no timestamps
-or filesystem paths, so identical flags and seeds reproduce identical
-bytes; --timing prints to stderr, for each matrix, the seconds from the
-start of the shared field phase to the end of that matrix's report, and
-its evaluated grid nodes, and leaves the outputs alone.
+SPECTO_THREADS, sizes that pool (default: machine parallelism), and a
+count below 1 or a non-integer one is a usage error. The pool is the only
+thread started, so --workers 1 runs one SVD thread beside the main thread,
+which computes every bracket and raises the first error it meets as it
+takes the matrices in turn. The commands make the output directory only
+once every field and report is built, so a failing command writes
+nothing, and ``train`` makes it only after its settings and data check
+out. Report and SVG outputs contain no timestamps or filesystem paths, so
+identical flags and seeds reproduce identical bytes; --timing prints to
+stderr, for each matrix, the seconds from the start of the shared field
+phase to the end of that matrix's report, and its evaluated grid nodes,
+in one format for every worker count, and leaves the outputs alone.
 """
 
 from __future__ import annotations

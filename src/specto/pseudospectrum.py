@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -51,23 +52,21 @@ _BRACKET_MARGIN = 1e-12
 # Steps of the lattices on which compute_field refines the field, coarsest first.
 _LATTICE_STEPS = (8, 4, 2)
 
-# Jobs compute_fields drives at once per SVD worker: enough to keep the pool
-# fed while a driver does its bracket arithmetic, few enough to bound the
-# threads and the per-job buffers of a command with many matrices.
-_DRIVERS_PER_WORKER = 2
-
 DEFAULT_GRID_NODES = 200
 DEFAULT_GRID_PAD = 0.5
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else SPECTO_THREADS, else cpu count."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("SPECTO_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """Worker count: explicit argument, else SPECTO_THREADS, else cpu count; ValueError below 1."""
+    source, value = "workers", workers
+    if workers is None:
+        source, value = "SPECTO_THREADS", os.environ.get("SPECTO_THREADS")
+        if not value:
+            return os.cpu_count() or 1
+    count = int(value) if str(value).strip().isdecimal() else 0
+    if count < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -212,18 +211,6 @@ def sigma_min_at(w: Matrix, lam: complex) -> float:
     return float(_sigma_min_stack(w.array, np.array([lam], dtype=np.complex128))[0])
 
 
-def _evaluate(a: np.ndarray, lams: np.ndarray, pool: ThreadPoolExecutor | None) -> np.ndarray:
-    """sigma_min(a - lam*I) for a flat array of nodes, in fixed-size chunks run on ``pool`` if given."""
-    chunk = max(1, _CHUNK_SCALARS // a.size)
-    parts = [lams[s : s + chunk] for s in range(0, lams.size, chunk)]
-    if pool is None:
-        sigmas = [_sigma_min_stack(a, part) for part in parts]
-    else:
-        futures = [pool.submit(_sigma_min_stack, a, part) for part in parts]
-        sigmas = [f.result() for f in futures]
-    return np.concatenate(sigmas) if sigmas else np.empty(0)
-
-
 def _lattice(n: int, step: int, folded: bool) -> np.ndarray:
     """Every ``step``-th index of an axis of ``n`` nodes, and the end ones.
 
@@ -306,8 +293,8 @@ def compute_field(w: Matrix, grid: GridSpec, levels=None, *, workers: int | None
     node's own. ``field.evaluated`` counts the sigma_min evaluations.
 
     Each node is a full SVD, batched through LAPACK in chunks of fixed size
-    that may fan out to threads, so the values are bitwise identical for
-    every worker count. This is the one-job case of ``compute_fields``.
+    on a pool of threads, so the values are bitwise identical for every
+    worker count. This is the one-job case of ``compute_fields``.
     """
     return compute_fields([(w, grid)], levels, workers=workers)[0]
 
@@ -315,17 +302,13 @@ def compute_field(w: Matrix, grid: GridSpec, levels=None, *, workers: int | None
 def compute_fields(jobs, levels=None, *, workers: int | None = None) -> list[PseudospectrumField]:
     """``compute_field`` of every ``(W, grid)`` job, sharing one pool of SVD workers.
 
-    The pool has ``resolve_workers(workers)`` threads. Each job runs its
-    certification stages in a driver thread of its own (at most
-    ``_DRIVERS_PER_WORKER`` per worker at once) and sends its SVD chunks to
-    the shared pool, so one job's small stages and bracket arithmetic
-    overlap the other jobs' SVDs. The chunks are those of a job run alone,
-    so every field is bitwise the one ``compute_field`` returns. With one
-    worker the jobs run one after another on the calling thread. The
-    eigenvalues of every W are taken on the calling thread before any
-    driver starts, so the threads call no module-level function of another
-    specto module. If a job fails, the error of the first failing job in
-    input order is raised once every thread has stopped.
+    The pool's ``resolve_workers(workers)`` threads are the only ones started
+    (``workers=1``: one beside the caller). The caller queues the nodes each
+    stage of a job (``_field``) yields in the chunks of a job run alone, so
+    every field is bitwise the one ``compute_field`` returns, and resumes up
+    to ``workers + 1`` jobs in FIFO turns: one job's brackets overlap the
+    others' chunks. On a failure the queued chunks are cancelled, the other
+    jobs closed, and the first error met in turn order is raised.
     """
     jobs = list(jobs)
     for w, _ in jobs:
@@ -333,36 +316,49 @@ def compute_fields(jobs, levels=None, *, workers: int | None = None) -> list[Pse
             raise ValueError(f"compute_field requires a square matrix, got {w.shape}")
     if levels is not None:
         levels = check_levels(levels)
-    spectra = [eigenvalues(w) for w, _ in jobs]
     nworkers = resolve_workers(workers)
-    if nworkers == 1 or not jobs:
-        return [_field(w, grid, levels, spectrum, None) for (w, grid), spectrum in zip(jobs, spectra)]
-    ndrivers = min(len(jobs), _DRIVERS_PER_WORKER * nworkers)
-    with ThreadPoolExecutor(nworkers) as pool, ThreadPoolExecutor(ndrivers) as drivers:
-        futures = [
-            drivers.submit(_field, w, grid, levels, spectrum, pool) for (w, grid), spectrum in zip(jobs, spectra)
-        ]
+    fields = [None] * len(jobs)
+    waiting = deque(enumerate(jobs))
+    turns = deque()  # (job index, its stage generator, the futures of the chunks it waits for)
+    with ThreadPoolExecutor(nworkers) as pool:
         try:
-            return [f.result() for f in futures]
+            while turns or waiting:
+                if waiting and len(turns) <= nworkers:  # start a job
+                    k, (w, grid) = waiting.popleft()
+                    stage, sigma = _field(w, grid, levels), None
+                else:  # resume the oldest one with the sigma_min of its chunks
+                    k, stage, futures = turns[0]
+                    sigma = np.concatenate([np.empty(0)] + [f.result() for f in futures])
+                    turns.popleft()
+                try:
+                    lams = stage.send(sigma)
+                except StopIteration as done:
+                    fields[k] = done.value
+                    continue
+                a = jobs[k][0].array
+                chunk = max(1, _CHUNK_SCALARS // a.size)
+                futures = [pool.submit(_sigma_min_stack, a, lams[s : s + chunk]) for s in range(0, lams.size, chunk)]
+                turns.append((k, stage, futures))
         except BaseException:
-            # stop the other jobs: their queued chunks are dropped, so their drivers fail fast
-            for f in futures:
-                f.cancel()
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(cancel_futures=True)
+            for _, stage, _ in turns:
+                stage.close()
             raise
+    return fields
 
 
-def _field(w: Matrix, grid: GridSpec, levels, spectrum: np.ndarray, pool) -> PseudospectrumField:
-    """One job of ``compute_fields``: the stages of ``compute_field``, its SVD chunks run on ``pool``."""
+def _field(w: Matrix, grid: GridSpec, levels):
+    """``compute_field`` as a generator: each stage yields its nodes and is sent their sigma_min.
+
+    No ``np.errstate`` spans a ``yield``, or its state would leak into the jobs run between turns.
+    """
+    spectrum = eigenvalues(w)
     a = w.array
     nodes = grid.nodes()
     folded = w.is_real and grid.im_min == -grid.im_max
-    mirror = np.arange(grid.ny)  # column j reads its values from column mirror[j]
-    skew = 0.0
-    if folded:
-        mirror = mirror[::-1]
-        im = grid.im_axis()
-        skew = float(np.abs(im + im[mirror]).max())
+    mirror = np.arange(grid.ny)[:: -1 if folded else 1]  # column j reads its values from column mirror[j]
+    im = grid.im_axis()
+    skew = float(np.abs(im + im[::-1]).max()) if folded else 0.0
     own = np.arange(grid.ny) >= mirror  # the columns sigma_min is evaluated on
     values = np.zeros(nodes.shape)
     exact = np.zeros(nodes.shape, dtype=bool)
@@ -371,25 +367,26 @@ def _field(w: Matrix, grid: GridSpec, levels, spectrum: np.ndarray, pool) -> Pse
     def evaluate(mask):
         nonlocal evaluated
         mask = (mask | mask[:, mirror]) & ~exact
-        values[mask & own] = _evaluate(a, nodes[mask & own], pool)
+        values[mask & own] = yield nodes[mask & own]
         values[:, ~own] = values[:, mirror[~own]]
         exact[mask] = True
         evaluated += int((mask & own).sum())
 
     if levels is None:
-        evaluate(np.ones(nodes.shape, dtype=bool))
+        yield from evaluate(np.ones(nodes.shape, dtype=bool))
     else:
         with np.errstate(over="ignore"):
             margin = _BRACKET_MARGIN * (float(np.linalg.norm(a)) + float(np.abs(nodes).max())) + 2.0 * skew
-            h = max(grid.step)
-            lo, hi = np.full(nodes.shape, -np.inf), np.full(nodes.shape, np.inf)
+        h = max(grid.step)
+        lo, hi = np.full(nodes.shape, -np.inf), np.full(nodes.shape, np.inf)
 
-            def holds(lo, hi):  # some level lies in [lo, hi]
-                return np.searchsorted(levels, hi, "right") > np.searchsorted(levels, lo)
+        def holds(lo, hi):  # some level lies in [lo, hi]
+            return np.searchsorted(levels, hi, "right") > np.searchsorted(levels, lo)
 
-            def bracket(rows, cols, at_rows, at_cols):  # brackets at at_rows x at_cols from rows x cols
-                ix = np.ix_(rows, cols)
-                known = exact[ix]
+        def bracket(rows, cols, at_rows, at_cols):  # brackets at at_rows x at_cols from rows x cols
+            ix = np.ix_(rows, cols)
+            known = exact[ix]
+            with np.errstate(over="ignore"):
                 return _brackets(
                     grid, rows, cols,
                     np.where(known, values[ix] - margin, lo[ix]),
@@ -397,26 +394,27 @@ def _field(w: Matrix, grid: GridSpec, levels, spectrum: np.ndarray, pool) -> Pse
                     at_rows, at_cols,
                 )
 
-            def lattice(step):
-                return _lattice(grid.nx, step, False), _lattice(grid.ny, step, folded)
+        def lattice(step):
+            return _lattice(grid.nx, step, False), _lattice(grid.ny, step, folded)
 
-            rows, cols = lattice(_LATTICE_STEPS[0])
+        rows, cols = lattice(_LATTICE_STEPS[0])
+        near = np.zeros(nodes.shape, dtype=bool)
+        near[np.ix_(rows, cols)] = True
+        yield from evaluate(near)
+        for step in _LATTICE_STEPS[1:]:
+            at = lattice(step)
+            ix = np.ix_(*at)
+            lo[ix], hi[ix] = bracket(rows, cols, *at)
             near = np.zeros(nodes.shape, dtype=bool)
-            near[np.ix_(rows, cols)] = True
-            evaluate(near)
-            for step in _LATTICE_STEPS[1:]:
-                at = lattice(step)
-                ix = np.ix_(*at)
-                lo[ix], hi[ix] = bracket(rows, cols, *at)
-                near = np.zeros(nodes.shape, dtype=bool)
+            with np.errstate(over="ignore"):
                 near[ix] = holds(lo[ix] - h, hi[ix] + h)
-                evaluate(near)
-                rows, cols = at
-            lo, hi = bracket(rows, cols, np.arange(grid.nx), np.arange(grid.ny))
-            evaluate(holds(lo, hi))  # wave 1
-            lo, hi = np.where(exact, values, lo), np.where(exact, values, hi)
-            band = np.where(holds(lo, hi), -1, np.searchsorted(levels, lo))
-            evaluate(_differs_from_a_neighbour(band))  # wave 2
+            yield from evaluate(near)
+            rows, cols = at
+        lo, hi = bracket(rows, cols, np.arange(grid.nx), np.arange(grid.ny))
+        yield from evaluate(holds(lo, hi))  # wave 1
+        lo, hi = np.where(exact, values, lo), np.where(exact, values, hi)
+        band = np.where(holds(lo, hi), -1, np.searchsorted(levels, lo))
+        yield from evaluate(_differs_from_a_neighbour(band))  # wave 2
         values = np.where(exact, values, np.maximum(lo, 0.0))
     values.setflags(write=False)
     return PseudospectrumField(

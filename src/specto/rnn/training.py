@@ -9,6 +9,7 @@ gate matrix is replaced by its power-iteration stabilized rescale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,8 +54,12 @@ class TrainConfig:
         for name in ("hidden", "batch", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive count")
-        if not self.learning_rate >= 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate (--lr) must be finite and nonnegative, got {self.learning_rate!r}")
+        if self.target_accuracy is not None and not 0.0 <= self.target_accuracy <= 1.0:
+            raise ValueError(
+                f"target_accuracy (--target-accuracy) must be within [0, 1] when set, got {self.target_accuracy!r}"
+            )
         if self.grad_clip is not None and not self.grad_clip > 0:
             raise ValueError("grad_clip must be positive when set")
 

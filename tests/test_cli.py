@@ -418,6 +418,23 @@ class TestFailuresWriteNothing:
         assert "sigma_min overflowed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "workers, env, source",
+        [("-3", None, "workers"), ("0", None, "workers"), (None, "0", "SPECTO_THREADS"),
+         (None, "abc", "SPECTO_THREADS"), (None, "2.5", "SPECTO_THREADS")],
+    )
+    def test_bad_worker_count_exit_2(self, tmp_path, identity_csv, capsys, monkeypatch, workers, env, source):
+        if env is None:
+            monkeypatch.delenv("SPECTO_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SPECTO_THREADS", env)
+        out = tmp_path / "o"
+        argv = ["analyze", identity_csv, "--out", out, "--nx", "5", "--ny", "5"]
+        assert run(argv if workers is None else [*argv, "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("specto: usage error:") and source in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_train_bad_batch(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("training started"))
         out = tmp_path / "t"
@@ -469,7 +486,11 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "usage error" in err and "sizes must be positive" in err
 
-    @pytest.mark.parametrize("flag, value", [("--clip", "-1"), ("--clip", "nan"), ("--snapshot-every", "-1")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--clip", "-1"), ("--clip", "nan"), ("--snapshot-every", "-1"), ("--lr", "inf"),
+         ("--target-accuracy", "nan"), ("--target-accuracy", "1.5")],
+    )
     def test_negative_setting_exit_2_before_training(self, tmp_path, capsys, monkeypatch, flag, value):
         monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("training started"))
         out = tmp_path / "o"

@@ -518,6 +518,66 @@ class TestComputeFields:
             compute_fields(jobs, (0.01, 0.1), workers=workers)
         assert threading.active_count() == before
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_numpy_error_state_is_restored(self, rng, workers):
+        jobs = _mixed_jobs(rng)
+        huge = (Matrix([[1.7e308]]), GridSpec(-1.7e308, 0.0, -1.0, 1.0, 9, 9))
+        # np.errstate(over="ignore") blocks left open by suspended jobs would leak into the caller
+        with np.errstate(all="warn"):
+            before = np.geterr()
+            compute_fields(jobs, (0.02, 0.1), workers=workers)
+            assert np.geterr() == before
+            with pytest.raises(NumericalError, match="overflowed"):
+                compute_fields([jobs[0], huge, *jobs[1:]], (0.02, 0.1), workers=workers)
+            assert np.geterr() == before
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_brackets_on_the_caller_and_svds_on_the_pool(self, rng, monkeypatch, workers):
+        jobs = _mixed_jobs(rng)
+        threads = {"_brackets": [], "eigenvalues": [], "_sigma_min_stack": []}
+        counts = []
+
+        def recorder(name):
+            inner = getattr(pseudospectrum, name)
+
+            def recording(*args):
+                threads[name].append(threading.current_thread())
+                counts.append(threading.active_count())
+                return inner(*args)
+
+            monkeypatch.setattr(pseudospectrum, name, recording)
+
+        for name in threads:
+            recorder(name)
+        before = threading.active_count()
+        compute_fields(jobs, (0.02, 0.1), workers=workers)
+        caller = threading.current_thread()
+        assert set(threads["_brackets"]) == set(threads["eigenvalues"]) == {caller}
+        assert len(threads["eigenvalues"]) == len(jobs)
+        assert threads["_sigma_min_stack"] and caller not in threads["_sigma_min_stack"]
+        assert len(set(threads["_sigma_min_stack"])) <= workers
+        assert max(counts) <= before + workers
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_at_most_one_job_more_than_workers_at_once(self, rng, monkeypatch, workers):
+        jobs = _mixed_jobs(rng)
+        field, live, peak = pseudospectrum._field, [0], [0]
+
+        def counting(*args):
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+            result = yield from field(*args)
+            live[0] -= 1
+            return result
+
+        monkeypatch.setattr(pseudospectrum, "_field", counting)
+        alone = [compute_field(w, grid, (0.02, 0.1), workers=1) for w, grid in jobs]
+        peak[0] = 0
+        for got, want in zip(compute_fields(jobs, (0.02, 0.1), workers=workers), alone):
+            _assert_same_field(got, want)
+        assert len(jobs) > workers + 1 and peak[0] == workers + 1 and live[0] == 0
+
 
 class TestAutoGrid:
     def test_unit_disk_dominates(self):
