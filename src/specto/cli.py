@@ -10,11 +10,13 @@ which computes every bracket and raises the first error it meets as it
 takes the matrices in turn. The commands make the output directory only
 once every field and report is built, so a failing command writes
 nothing, and ``train`` makes it only after its settings and data check
-out. Report and SVG outputs contain no timestamps or filesystem paths, so
-identical flags and seeds reproduce identical bytes; --timing prints to
-stderr, for each matrix, the seconds from the start of the shared field
-phase to the end of that matrix's report, and its evaluated grid nodes,
-in one format for every worker count, and leaves the outputs alone.
+out. Report and SVG outputs contain no timestamps or filesystem paths, and
+every command runs with numpy's and scipy's OpenBLAS at one thread, so
+identical flags and seeds reproduce identical bytes whatever the BLAS
+thread settings. --timing prints to stderr whether that pin took and, for
+each matrix, the seconds from the start of the shared field phase to the
+end of that matrix's report, and its evaluated grid nodes, in one format
+for every worker count, and leaves the outputs alone.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import time
 from pathlib import Path
 
 from . import __version__
+from ._blas import one_thread
 from .containers import load_matrix_any, write_matrix_file
 from .errors import FormatError, NumericalError
 from .matrix import Matrix, spectral_radius
@@ -77,13 +80,14 @@ def _safe_name(name: str) -> str:
 
 
 def _unique_names(names):
-    seen: dict[str, int] = {}
-    out = []
+    out: list[str] = []
     for name in names:
-        base = _safe_name(name)
-        k = seen.get(base, 0)
-        seen[base] = k + 1
-        out.append(base if k == 0 else f"{base}-{k + 1}")
+        base = unique = _safe_name(name)
+        k = 1
+        while unique in out:  # a suffixed name may be another input's own name
+            k += 1
+            unique = f"{base}-{k}"
+        out.append(unique)
     return out
 
 
@@ -120,6 +124,10 @@ def cmd_analyze(args) -> int:
         if not m.is_square:
             raise FormatError(f"{name}: pseudospectrum analysis needs a square matrix, got {m.shape}")
     jobs = [(m, _grid_for(args, m)) for m, _ in loaded]
+    if args.timing:
+        pinned = ", ".join(one_thread.pinned)
+        note = f"one thread ({pinned})" if pinned else "unpinned, no OpenBLAS thread setter found"
+        print(f"blas: {note}", file=sys.stderr)
     t0 = time.perf_counter()
     fields = compute_fields(jobs, eps, workers=args.workers)
     contours, reports = [], []
@@ -253,10 +261,12 @@ def cmd_train(args) -> int:
         needed = (args.mnist_images, args.mnist_labels)
         if any(p is None for p in needed):
             raise ValueError("--task mnist requires --mnist-images and --mnist-labels")
+        if (args.mnist_test_images is None) != (args.mnist_test_labels is None):
+            raise ValueError("--mnist-test-images and --mnist-test-labels go together: give both or neither")
         if args.train_size < 1 or args.test_size < 1:
             raise ValueError(f"train and test sizes must be positive, got {args.train_size} and {args.test_size}")
         full = load_mnist_idx(args.mnist_images, args.mnist_labels)
-        if args.mnist_test_images and args.mnist_test_labels:
+        if args.mnist_test_images is not None:
             held_out = load_mnist_idx(args.mnist_test_images, args.mnist_test_labels)
         else:  # evaluate on the images the training split leaves over
             held_out = Dataset(full.inputs[args.train_size :], full.targets[args.train_size :], full.task)
@@ -315,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--timing",
         action="store_true",
-        help="print each matrix's seconds since the fields began and its evaluated nodes to stderr",
+        help="print the BLAS pin, and each matrix's seconds since the fields began and its evaluated nodes, to stderr",
     )
     p.set_defaults(func=cmd_analyze)
 
@@ -370,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with one_thread:
+            return args.func(args)
     except FormatError as exc:
         print(f"specto: input error: {exc}", file=sys.stderr)
         return 3

@@ -83,18 +83,16 @@ class Matrix:
 
 @dataclass(frozen=True)
 class SchurFactors:
-    """Complex Schur form W = Q T Q* with T split into diagonal and strict part.
+    """Complex Schur form W = Q T Q*, T upper triangular.
 
-    ``eigenvalues`` is the diagonal of T; ``n_strict`` is the strictly upper
-    triangular remainder. Q and T are unique only up to phases and eigenvalue
-    ordering, so consumers should rely on the reconstruction invariants, not
-    on element values.
+    ``eigenvalues`` is the diagonal of T. Q and T are unique only up to
+    phases and eigenvalue ordering, so consumers should rely on the
+    reconstruction invariants, not on element values.
     """
 
     q: Matrix
     t: Matrix
     eigenvalues: np.ndarray
-    n_strict: Matrix
 
 
 def _require_square(m: Matrix, op: str) -> None:
@@ -144,12 +142,7 @@ def schur(m: Matrix) -> SchurFactors:
         t = np.triu(t)  # LAPACK already zeros the lower part; make it structural
         evs = np.diag(t).copy()
         evs.setflags(write=False)
-        m._schur = SchurFactors(
-            q=Matrix(q),
-            t=Matrix(t),
-            eigenvalues=evs,
-            n_strict=Matrix(np.triu(t, 1)),
-        )
+        m._schur = SchurFactors(q=Matrix(q), t=Matrix(t), eigenvalues=evs)
     return m._schur
 
 

@@ -5,9 +5,9 @@ unitarily diagonalizable and only then do eigenvalues tell the whole
 stability story. Two indices are exposed: the Henrici number (commutator
 norm over squared Frobenius norm, scale invariant, 0 iff normal) and the
 Schur departure ||N||_F, the strictly upper triangular mass left over after
-unitary triangularization. Both, and the commutator norm, are evaluated on
-W divided by a power of two near its largest entry, so entries near the
-overflow threshold still give finite indices.
+unitary triangularization. Both are evaluated on W divided by a power of two
+near its largest entry, so entries near the overflow threshold still give
+finite indices.
 """
 
 from __future__ import annotations
@@ -27,15 +27,10 @@ __all__ = [
     "nonnormality_report",
 ]
 
-NORMALITY_TOL = 1e-10  # is_normal: ||[W, W*]||_F <= NORMALITY_TOL * max(1, ||W||_F^2)
-
-
 @dataclass(frozen=True)
 class NonNormalityReport:
     henrici: float
     schur_departure: float
-    is_normal: bool
-    commutator_norm: float
 
 
 def _normalized(a: np.ndarray) -> tuple[np.ndarray, float]:
@@ -54,13 +49,13 @@ def _normalized(a: np.ndarray) -> tuple[np.ndarray, float]:
     return v, s
 
 
-def _commutator_parts(w: Matrix, op: str) -> tuple[float, float, float]:
-    """||V V* - V* V||_F, ||V||_F and s for V = W / s (see _normalized)."""
+def _commutator_parts(w: Matrix, op: str) -> tuple[float, float]:
+    """||V V* - V* V||_F and ||V||_F for V = W / s (see _normalized)."""
     if not w.is_square:
         raise ValueError(f"{op} requires a square matrix, got {w.shape}")
-    v, s = _normalized(w.array)
+    v, _ = _normalized(w.array)
     vh = v.conj().T
-    return float(np.linalg.norm(v @ vh - vh @ v)), float(np.linalg.norm(v)), s
+    return float(np.linalg.norm(v @ vh - vh @ v)), float(np.linalg.norm(v))
 
 
 def henrici_number(w: Matrix) -> float:
@@ -69,7 +64,7 @@ def henrici_number(w: Matrix) -> float:
     Zero (within rounding) iff W is normal. The zero matrix is degenerate;
     it is reported as 0 with a warning.
     """
-    comm, fro, _ = _commutator_parts(w, "henrici_number")
+    comm, fro = _commutator_parts(w, "henrici_number")
     if fro == 0.0:
         warnings.warn(
             "henrici_number of the zero matrix is degenerate; returning 0",
@@ -87,21 +82,12 @@ def schur_departure(w: Matrix) -> tuple[np.ndarray, float]:
     ||N||_F^2 = ||W||_F^2 - sum |lambda_i|^2.
     """
     factors = schur(w)
-    n, s = _normalized(factors.n_strict.array)
+    n, s = _normalized(np.triu(factors.t.array, 1))
     return factors.eigenvalues, float(np.linalg.norm(n)) * s
 
 
 def nonnormality_report(w: Matrix) -> NonNormalityReport:
-    """All indices at once; the commutator norm is inf past the float range, the verdict is not."""
+    """Both indices at once; the zero matrix reads 0 without henrici_number's warning."""
     _, departure = schur_departure(w)
-    comm, fro, s = _commutator_parts(w, "nonnormality_report")
-    if fro * s >= 1.0:
-        normal = comm <= NORMALITY_TOL * fro**2
-    else:
-        normal = comm * s * s <= NORMALITY_TOL
-    return NonNormalityReport(
-        henrici=0.0 if fro == 0.0 else comm / fro**2,
-        schur_departure=departure,
-        is_normal=normal,
-        commutator_norm=comm * s * s,
-    )
+    comm, fro = _commutator_parts(w, "nonnormality_report")
+    return NonNormalityReport(henrici=0.0 if fro == 0.0 else comm / fro**2, schur_departure=departure)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_thread
 from .errors import NumericalError
 from .matrix import Matrix, eigenvalues, mat_power_norms, spectral_radius
 
@@ -308,7 +309,9 @@ def compute_fields(jobs, levels=None, *, workers: int | None = None) -> list[Pse
     every field is bitwise the one ``compute_field`` returns, and resumes up
     to ``workers + 1`` jobs in FIFO turns: one job's brackets overlap the
     others' chunks. On a failure the queued chunks are cancelled, the other
-    jobs closed, and the first error met in turn order is raised.
+    jobs closed, and the first error met in turn order is raised. The SVDs
+    run with OpenBLAS at one thread (``_blas``), so the fields do not depend
+    on its thread count either.
     """
     jobs = list(jobs)
     for w, _ in jobs:
@@ -320,7 +323,7 @@ def compute_fields(jobs, levels=None, *, workers: int | None = None) -> list[Pse
     fields = [None] * len(jobs)
     waiting = deque(enumerate(jobs))
     turns = deque()  # (job index, its stage generator, the futures of the chunks it waits for)
-    with ThreadPoolExecutor(nworkers) as pool:
+    with one_thread, ThreadPoolExecutor(nworkers) as pool:
         try:
             while turns or waiting:
                 if waiting and len(turns) <= nworkers:  # start a job

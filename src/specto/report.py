@@ -145,6 +145,8 @@ def write_contours_csv(path, contours: ContourSet) -> None:
 # SVG spectral portraits
 # ---------------------------------------------------------------------------
 
+_PORTRAIT_SIZE, _PORTRAIT_MARGIN = 560, 80  # pixels: plot square, border around it
+_COMPARE_SIZE, _COMPARE_MARGIN, _COMPARE_GAP = 420, 70, 40  # per panel, and between the panels
 _PALETTE = ("#440154", "#414487", "#2a788e", "#22a884", "#7ad151", "#fde725")
 _EIG_COLOR = "#d62728"
 
@@ -226,12 +228,10 @@ def portrait_svg(
     evs,
     grid: GridSpec,
     contours: ContourSet | None,
-    size: int = 560,
-    margin: int = 80,
 ) -> str:
     """Spectral portrait: unit circle, eigenvalues, eps contours, legend."""
-    width = size + 2 * margin
-    height = size + 2 * margin
+    size, margin = _PORTRAIT_SIZE, _PORTRAIT_MARGIN
+    width = height = size + 2 * margin
     frame = _Frame(grid, margin, margin, size, size)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -251,11 +251,9 @@ def compare_svg(
     left: tuple[str, np.ndarray, ContourSet | None],
     right: tuple[str, np.ndarray, ContourSet | None],
     grid: GridSpec,
-    size: int = 420,
-    margin: int = 70,
 ) -> str:
     """Two portraits over a shared grid, side by side with shared axes."""
-    gap = 40
+    size, margin, gap = _COMPARE_SIZE, _COMPARE_MARGIN, _COMPARE_GAP
     width = 2 * size + 2 * margin + gap
     height = size + 2 * margin
     parts = [

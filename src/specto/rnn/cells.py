@@ -11,8 +11,8 @@ Three cell kinds over a shared parameter layout:
   matrix.
 
 The readout is affine on the final state; classification consumers apply a
-softmax on top. Batched forward/backward operate on (batch, time, dim)
-arrays; the single-sequence API wraps a batch of one.
+softmax on top. Forward and backward operate on (batch, time, dim) arrays;
+one sequence is a batch of one.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ GATE_ORDER = {
 KINDS = tuple(GATE_ORDER)
 
 TASKS = ("adding", "mnist")
+
+_ADDING_TOL = 0.04  # an adding-task prediction within this of the target counts as correct
 
 
 @dataclass
@@ -360,18 +362,6 @@ def forward_batch(cell: CellParams, inputs: np.ndarray):
     return states, logits, cache
 
 
-def forward(cell: CellParams, seq: np.ndarray):
-    """Single sequence (T, input) -> (states x_1..x_T, affine readout).
-
-    Classification consumers apply a softmax to the returned output.
-    """
-    seq = np.asarray(seq, dtype=float)
-    if seq.ndim != 2:
-        raise ValueError(f"seq must be (time, input), got shape {seq.shape}")
-    states, logits, _ = forward_batch(cell, seq[None])
-    return states[1:, 0, :], logits[0]
-
-
 def loss(output: np.ndarray, target, task: str) -> float:
     """Terminal loss: squared error (adding) or softmax cross-entropy (mnist)."""
     return _loss_and_dlogits(np.asarray(output, dtype=float)[None], np.asarray([target]), task)[0]
@@ -415,13 +405,6 @@ def batch_loss_and_grads(cell: CellParams, inputs: np.ndarray, targets: np.ndarr
     return value, grads
 
 
-def backward(cell: CellParams, seq: np.ndarray, target, task: str) -> dict[str, np.ndarray]:
-    """Exact gradients of the terminal loss for one sequence."""
-    seq = np.asarray(seq, dtype=float)
-    _, grads = batch_loss_and_grads(cell, seq[None], np.asarray([target]), task)
-    return grads
-
-
 # Doubles in the buffers of one forward pass in `predictions` (4 MiB). A larger
 # block, once freed, raises glibc's dynamic mmap threshold, and the heap then
 # keeps later large temporaries resident: a GRU train followed by analyze in
@@ -444,12 +427,11 @@ def predictions(cell: CellParams, inputs: np.ndarray) -> np.ndarray:
     return np.concatenate(outs, axis=0)
 
 
-def accuracy(cell: CellParams, data, task: str | None = None, tol: float = 0.04) -> float:
-    """Fraction correct: |prediction - target| <= tol (adding) or argmax (mnist)."""
-    task = task or data.task
+def accuracy(cell: CellParams, data) -> float:
+    """Fraction correct for ``data.task``: |prediction - target| <= 0.04 (adding) or argmax (mnist)."""
     logits = predictions(cell, data.inputs)
-    if task == "adding":
-        return float(np.mean(np.abs(logits[:, 0] - data.targets) <= tol))
-    if task == "mnist":
+    if data.task == "adding":
+        return float(np.mean(np.abs(logits[:, 0] - data.targets) <= _ADDING_TOL))
+    if data.task == "mnist":
         return float(np.mean(np.argmax(logits, axis=1) == data.targets))
-    raise ValueError(f"unknown task {task!r}")
+    raise ValueError(f"unknown task {data.task!r}")

@@ -100,8 +100,10 @@ def train(
     on the training set. ``on_epoch(epoch, cell, record)`` runs after each
     epoch (snapshot hook). A non-finite loss aborts with TrainingDiverged.
     """
-    if cfg.task != train_data.task:
-        raise ValueError(f"config task {cfg.task!r} does not match data task {train_data.task!r}")
+    measure_on = eval_data if eval_data is not None else train_data
+    for data in (train_data, measure_on):
+        if cfg.task != data.task:
+            raise ValueError(f"config task {cfg.task!r} does not match data task {data.task!r}")
     inputs, targets = train_data.inputs, train_data.targets
     n = inputs.shape[0]
     if n == 0:
@@ -116,7 +118,6 @@ def train(
         seed=rng,
         memory_bias=cfg.memory_bias,
     )
-    measure_on = eval_data if eval_data is not None else train_data
     history: list[EpochRecord] = []
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(n)
@@ -133,7 +134,7 @@ def train(
                 arr -= cfg.learning_rate * grads[name]
         if cfg.stabilizer is not None:
             _stabilize_gates(cell, cfg.stabilizer, epoch)
-        acc = accuracy(cell, measure_on, cfg.task)
+        acc = accuracy(cell, measure_on)
         reports = {
             g: build_matrix_report(f"{cfg.kind}-{g}", Matrix(cell.w_rec[g])) for g in cell.gates
         }

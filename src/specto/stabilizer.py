@@ -49,8 +49,6 @@ class StabilizerConfig:
 class StabilizationResult:
     w_s: Matrix
     gain_estimate: float
-    u_final: np.ndarray
-    v_final: np.ndarray
 
 
 def _power_pair(a: np.ndarray, cfg: StabilizerConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -102,6 +100,4 @@ def stabilize(w: Matrix, cfg: StabilizerConfig = StabilizerConfig()) -> Stabiliz
     gain = float(abs(u @ (a @ v)))
     if gain == 0.0:
         raise NumericalError("gain estimate vanished")
-    return StabilizationResult(
-        w_s=Matrix(a / gain), gain_estimate=gain, u_final=u, v_final=v
-    )
+    return StabilizationResult(w_s=Matrix(a / gain), gain_estimate=gain)

@@ -37,8 +37,8 @@ from specto.rnn import (
     TrainConfig,
     accuracy,
     adding_splits,
-    backward,
-    forward,
+    batch_loss_and_grads,
+    forward_batch,
     init_cell,
     load_mnist_idx,
     loss,
@@ -131,16 +131,16 @@ def test_criterion_05_gradient_checks():
                     arr += rng.normal(0, 0.3, arr.shape)
                 seq = rng.normal(0, 1, (steps, 2))
                 target = float(rng.uniform(0, 2))
-                grads = backward(cell, seq, target, "adding")
+                _, grads = batch_loss_and_grads(cell, seq[None], np.array([target]), "adding")
                 for name, arr in param_items(cell):
                     flat = arr.reshape(-1)
                     gflat = grads[name].reshape(-1)
                     for i in range(flat.size):
                         orig = flat[i]
                         flat[i] = orig + h
-                        up = loss(forward(cell, seq)[1], target, "adding")
+                        up = loss(forward_batch(cell, seq[None])[1][0], target, "adding")
                         flat[i] = orig - h
-                        dn = loss(forward(cell, seq)[1], target, "adding")
+                        dn = loss(forward_batch(cell, seq[None])[1][0], target, "adding")
                         flat[i] = orig
                         num = (up - dn) / (2 * h)
                         rel = abs(gflat[i] - num) / max(abs(gflat[i]), abs(num), 1e-6)
@@ -167,7 +167,7 @@ def adding_runs():
             target_accuracy=0.90,
         )
         cell, history = train(cfg, train_ds, test_ds)
-        runs.append((cell, history, accuracy(cell, test_ds, "adding")))
+        runs.append((cell, history, accuracy(cell, test_ds)))
     return runs
 
 
@@ -212,7 +212,7 @@ def test_criterion_07_sequential_image_desk_scale(tmp_path):
             grad_clip=1.0,
         )
         cell, history = train(cfg, train_ds, test_ds)
-        acc = accuracy(cell, test_ds, "mnist")
+        acc = accuracy(cell, test_ds)
         print(f"  test accuracy {acc:.4f}")
         assert acc > 0.15
 

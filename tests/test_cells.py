@@ -6,10 +6,9 @@ import specto.rnn.cells as cells
 from specto import Matrix, two_norm
 from specto.rnn import (
     GATE_ORDER,
+    Dataset,
     accuracy,
-    backward,
     batch_loss_and_grads,
-    forward,
     forward_batch,
     generate_adding,
     init_cell,
@@ -173,21 +172,22 @@ class TestForward:
         cell.w_rec["recurrent"][:] = 0.0
         cell.w_in["recurrent"][:] = np.eye(2)
         cell.b["recurrent"][:] = 0.0
-        states, _ = forward(cell, np.array([[0.2, 1.0]]))
-        np.testing.assert_allclose(states[0], [0.2, 1.0], atol=1e-15)
+        states, _, _ = forward_batch(cell, np.array([[[0.2, 1.0]]]))
+        np.testing.assert_allclose(states[1, 0], [0.2, 1.0], atol=1e-15)
 
     def test_zero_everything_stays_zero(self):
         cell = init_cell("rnn", 2, 3, 1, seed=0)
         cell.w_in["recurrent"][:] = 0.0
         cell.b["recurrent"][:] = 0.0
-        states, _ = forward(cell, np.zeros((6, 2)))
+        states, _, _ = forward_batch(cell, np.zeros((1, 6, 2)))
         np.testing.assert_allclose(states, 0.0, atol=1e-15)
 
     def test_matches_independent_reimplementation(self):
         # step-by-step loop oracle for the literal recurrence
         cell, rng = perturbed_cell("rnn", "adding", seed=3)
         seq = rng.normal(0, 1, (9, 3))
-        states, out = forward(cell, seq)
+        states, out, _ = forward_batch(cell, seq[None])
+        states, out = states[1:, 0], out[0]
         w = cell.w_rec["recurrent"]
         u = cell.w_in["recurrent"]
         b = cell.b["recurrent"]
@@ -200,7 +200,8 @@ class TestForward:
     def test_lstm_matches_literal_recurrence(self):
         cell, rng = perturbed_cell("lstm", "adding", seed=4)
         seq = rng.normal(0, 1, (9, 3))
-        states, out = forward(cell, seq)
+        states, out, _ = forward_batch(cell, seq[None])
+        states, out = states[1:, 0], out[0]
 
         def gate(g, act, h, u):
             return act(cell.w_rec[g] @ h + cell.w_in[g] @ u + cell.b[g])
@@ -219,7 +220,8 @@ class TestForward:
     def test_gru_matches_literal_recurrence(self):
         cell, rng = perturbed_cell("gru", "adding", seed=5)
         seq = rng.normal(0, 1, (9, 3))
-        states, out = forward(cell, seq)
+        states, out, _ = forward_batch(cell, seq[None])
+        states, out = states[1:, 0], out[0]
         w, u, b = cell.w_rec, cell.w_in, cell.b
         h = np.zeros(cell.hidden)
         for t in range(9):
@@ -233,7 +235,7 @@ class TestForward:
     def test_shape_mismatch(self):
         cell = init_cell("gru", 2, 4, 1, seed=0)
         with pytest.raises(ValueError):
-            forward(cell, np.zeros((5, 3)))
+            forward_batch(cell, np.zeros((1, 5, 3)))
 
 
 class TestLoss:
@@ -271,18 +273,18 @@ class TestBackward:
         cell, rng = perturbed_cell(kind, task, seed=17, hidden=4, d=2)
         seq = rng.normal(0, 1, (6, 2))
         target = 0.6 if task == "adding" else 4
-        grads = backward(cell, seq, target, task)
+        _, grads = batch_loss_and_grads(cell, seq[None], np.array([target]), task)
         h = 1e-5
         for name, arr in param_items(cell):
             flat = arr.reshape(-1)
             for k in range(flat.size):
                 orig = flat[k]
                 flat[k] = orig + h
-                _, up = forward(cell, seq)
+                _, up, _ = forward_batch(cell, seq[None])
                 flat[k] = orig - h
-                _, dn = forward(cell, seq)
+                _, dn, _ = forward_batch(cell, seq[None])
                 flat[k] = orig
-                num = (loss(up, target, task) - loss(dn, target, task)) / (2 * h)
+                num = (loss(up[0], target, task) - loss(dn[0], target, task)) / (2 * h)
                 got = grads[name].reshape(-1)[k]
                 assert abs(got - num) <= 1e-4 * max(abs(got), abs(num), 1e-6)
 
@@ -291,7 +293,7 @@ class TestBackward:
         cell.w_out[:] = 0.0
         cell.b_out[:] = 0.25
         seq = np.random.default_rng(0).normal(0, 1, (5, 2))
-        grads = backward(cell, seq, 0.25, "adding")
+        _, grads = batch_loss_and_grads(cell, seq[None], np.array([0.25]), "adding")
         for name, _ in param_items(cell):
             np.testing.assert_allclose(grads[name], 0.0, atol=1e-10)
 
@@ -404,11 +406,9 @@ class TestAccuracy:
         cell.w_out[:] = 0.0
         # cheat: replace targets with a constant and predict it exactly
         const = np.full_like(data.targets, 0.5)
-        from specto.rnn import Dataset
-
         data = Dataset(data.inputs, const, "adding")
         cell.b_out[:] = 0.5
-        assert accuracy(cell, data, "adding") == 1.0
+        assert accuracy(cell, data) == 1.0
 
     def test_constant_one_matches_analytic_mass(self):
         # P(|S - 1| <= 0.04) for S = sum of two uniforms = 2*(0.04 - 0.04^2/2)
@@ -417,16 +417,37 @@ class TestAccuracy:
         cell.w_out[:] = 0.0
         cell.b_out[:] = 1.0
         analytic = 2 * (0.04 - 0.04**2 / 2)
-        assert accuracy(cell, data, "adding") == pytest.approx(analytic, abs=0.01)
+        assert accuracy(cell, data) == pytest.approx(analytic, abs=0.01)
 
     def test_random_ten_class_predictor_near_chance(self, rng):
-        from specto.rnn import Dataset
-
         inputs = rng.normal(0, 1, (3000, 4, 5))
         labels = rng.integers(0, 10, 3000)
         data = Dataset(inputs, labels, "mnist")
         cell = init_cell("rnn", 5, 8, 10, seed=1)
-        assert accuracy(cell, data, "mnist") == pytest.approx(0.1, abs=0.04)
+        assert accuracy(cell, data) == pytest.approx(0.1, abs=0.04)
+
+    def test_adding_scores_within_the_tolerance(self):
+        # predictions 0.5 against targets 0.5 + offset: correct up to |offset| = 0.04
+        offsets = np.array([0.0, 0.03, -0.039, 0.041, -0.05, 0.5])
+        data = Dataset(np.zeros((offsets.size, 3, 2)), 0.5 + offsets, "adding")
+        cell = init_cell("rnn", 2, 2, 1, seed=0)
+        cell.w_out[:] = 0.0
+        cell.b_out[:] = 0.5
+        assert accuracy(cell, data) == 3 / 6
+
+    def test_mnist_scores_by_argmax(self):
+        # a fixed readout peaks at class 3: right exactly for the label-3 sequences
+        data = Dataset(np.zeros((5, 3, 2)), np.array([3, 0, 3, 9, 3]), "mnist")
+        cell = init_cell("gru", 2, 2, 10, seed=0)
+        cell.w_out[:] = 0.0
+        cell.b_out[:] = 0.0
+        cell.b_out[3] = 0.1
+        assert accuracy(cell, data) == 3 / 5
+
+    def test_unknown_task(self):
+        cell = init_cell("rnn", 2, 2, 1, seed=0)
+        with pytest.raises(ValueError, match="unknown task"):
+            accuracy(cell, Dataset(np.zeros((2, 3, 2)), np.zeros(2), "sorting"))
 
 
 class TestPredictions:

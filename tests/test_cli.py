@@ -128,6 +128,22 @@ class TestAnalyze:
         names = [m.name for m in parse_report((out / "report.json").read_text()).matrices]
         assert names == ["ident", "ident-2"]
 
+    def test_suffixed_names_do_not_collide_with_input_names(self, tmp_path):
+        # the second a.csv becomes a-2, so the input named a-2 must take another name
+        paths = []
+        for k, sub in enumerate(("x", "y", "z")):
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / ("a-2.csv" if sub == "z" else "a.csv"))
+            paths[-1].write_text(f"{k + 1},0\n0,1\n")
+        out = tmp_path / "o"
+        assert run(["analyze", *paths, "--out", out, "--nx", "9", "--ny", "9"]) == 0
+        matrices = parse_report((out / "report.json").read_text()).matrices
+        names = [m.name for m in matrices]
+        assert names == ["a", "a-2", "a-2-2"]
+        assert [m.spectral_radius for m in matrices] == [1.0, 2.0, 3.0]
+        assert sorted(p.name for p in out.glob("contours-*.csv")) == sorted(f"contours-{n}.csv" for n in names)
+        assert sorted(p.name for p in out.glob("portrait-*.svg")) == sorted(f"portrait-{n}.svg" for n in names)
+
     def test_nan_in_csv_exit_3(self, tmp_path, capsys):
         p = tmp_path / "nan.csv"
         p.write_text("1,0\n0,nan\n")
@@ -176,7 +192,9 @@ class TestAnalyze:
         assert run(["analyze", identity_csv, "--out", out1, "--nx", "21", "--ny", "21"]) == 0
         assert capsys.readouterr().err == ""
         assert run(["analyze", identity_csv, "--out", out2, "--nx", "21", "--ny", "21", "--timing"]) == 0
-        name, seconds, unit, evaluated, of, total, *rest = capsys.readouterr().err.split()
+        blas, line = capsys.readouterr().err.splitlines()
+        assert blas.startswith("blas: ")
+        name, seconds, unit, evaluated, of, total, *rest = line.split()
         assert name == "ident:" and float(seconds) > 0 and unit == "s,"
         assert of == "of" and rest == ["nodes", "evaluated"]
         assert 0 < int(evaluated) <= int(total) == 21 * 21
@@ -198,7 +216,7 @@ class TestAnalyze:
         monkeypatch.setattr(pseudospectrum, "_sigma_min_stack", recording)
         monkeypatch.setattr(cli, "compute_fields", kept)
         assert run(["analyze", path, "--out", tmp_path / "o", "--nx", "41", "--ny", "41", "--timing"]) == 0
-        evaluated = int(capsys.readouterr().err.split()[3])
+        evaluated = int(capsys.readouterr().err.splitlines()[1].split()[3])
         assert evaluated == sum(sizes) == fields[0].evaluated
         assert evaluated < int(fields[0].exact.sum())  # a real matrix on its auto grid is folded
 
@@ -570,6 +588,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("specto: usage error:") and err.count("\n") == 1
         assert "size" in err
+
+    @pytest.mark.parametrize("given", ("--mnist-test-images", "--mnist-test-labels"))
+    def test_mnist_half_test_pair_exit_2(self, tmp_path, capsys, digits, given):
+        images, labels = digits
+        half = [given, images if given == "--mnist-test-images" else labels]
+        code = run(
+            ["train", "--task", "mnist", "--out", tmp_path / "o", "--hidden", "3", "--epochs", "1",
+             "--mnist-images", images, "--mnist-labels", labels, *half]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("specto: usage error:") and "--mnist-test-labels" in err
+        assert not (tmp_path / "o").exists()
 
     def test_mnist_leftover_evaluation_split(self, tmp_path, capsys, digits):
         assert self._train_mnist(tmp_path, digits, "--train-size", "8", "--test-size", "100") == 0

@@ -33,8 +33,6 @@ class TestHandTraces:
         res = stabilize(Matrix(np.diag([2.0, 0.5])), cfg)
         assert res.gain_estimate == pytest.approx(2.0, abs=1e-14)
         np.testing.assert_allclose(res.w_s.array.real, np.diag([1.0, 0.25]), atol=1e-14)
-        np.testing.assert_allclose(res.u_final, [1.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(res.v_final, [1.0, 0.0], atol=1e-14)
 
     def test_rank_one_converges_in_one_step(self):
         cfg = StabilizerConfig(m=1, injected_u0=np.array([0.7, -0.3]))
@@ -76,8 +74,6 @@ class TestResultInvariants:
         np.testing.assert_allclose(
             res.w_s.array, w.array / res.gain_estimate, atol=1e-12
         )
-        assert np.linalg.norm(res.u_final) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(res.v_final) == pytest.approx(1.0, abs=1e-12)
 
     def test_eigenvalues_scale_only(self, rng):
         w = Matrix(rng.standard_normal((7, 7)))

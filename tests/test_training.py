@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from specto import StabilizerConfig, TrainingDiverged
-from specto.rnn import TrainConfig, generate_adding, init_cell, param_items, train
+from specto.rnn import Dataset, TrainConfig, generate_adding, init_cell, param_items, train
 
 
 def small_adding(n=600, seq_len=12, seed=0):
@@ -39,6 +39,13 @@ class TestConfigValidation:
     def test_task_data_mismatch(self):
         with pytest.raises(ValueError, match="task"):
             train(TrainConfig(task="mnist"), small_adding())
+
+    def test_eval_data_task_mismatch(self):
+        # accuracy scores by the data's own task, so the evaluation set must share it
+        data = small_adding(n=20)
+        digits = Dataset(data.inputs, np.zeros(20), "mnist")
+        with pytest.raises(ValueError, match="task"):
+            train(small_cfg(), data, digits)
 
     def test_empty_training_set(self):
         with pytest.raises(ValueError, match="empty"):
