@@ -1,6 +1,6 @@
 """Command-line pipeline: analyze, train, stabilize, compare.
 
-Exit codes: 0 success, 2 usage error, 3 input format error, 4 numerical
+Exit codes: 0 success, 2 usage error, 3 input error, 4 numerical
 failure. ``analyze`` and ``compare`` compute the fields of all their
 matrices at once, on one pool of SVD workers per command; --workers, else
 SPECTO_THREADS, sizes that pool (default: machine parallelism), and a
@@ -16,7 +16,8 @@ identical flags and seeds reproduce identical bytes whatever the BLAS
 thread settings. --timing prints to stderr whether that pin took and, for
 each matrix, the seconds from the start of the shared field phase to the
 end of that matrix's report, and its evaluated grid nodes, in one format
-for every worker count, and leaves the outputs alone.
+for every worker count, and leaves the outputs alone. An input error is a
+malformed file or a path that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .report import (
     serialize_report,
     write_contours_csv,
 )
-from .rnn import Dataset, TrainConfig, adding_splits, load_mnist_idx, train
+from .rnn import KINDS, TASKS, Dataset, TrainConfig, adding_splits, load_mnist_idx, train
 from .stabilizer import StabilizerConfig, stabilize
 
 DEFAULT_EPS_LEVELS = tuple(10.0 ** (-3 + 0.5 * k) for k in range(6))
@@ -243,7 +244,6 @@ def cmd_train(args) -> int:
     if args.snapshot_every < 0:
         raise ValueError(f"--snapshot-every must be >= 0 (0 disables snapshots), got {args.snapshot_every}")
     cfg = TrainConfig(
-        task=args.task,
         kind=args.kind,
         hidden=args.hidden,
         batch=args.batch,
@@ -251,7 +251,7 @@ def cmd_train(args) -> int:
         learning_rate=args.lr,
         seed=args.seed,
         grad_clip=args.clip if args.clip > 0 else None,
-        stabilizer=None if args.stabilize is None else StabilizerConfig(m=args.stabilize, seed=args.seed),
+        stabilize=args.stabilize,
         memory_bias=args.memory_bias,
         target_accuracy=args.target_accuracy,
     )
@@ -285,7 +285,8 @@ def cmd_train(args) -> int:
                 out_dir / f"weights-{tag}-{gate}.pspc", Matrix(cell.w_rec[gate]), f"{cfg.kind}-{gate}"
             )
 
-    def snapshot(epoch, cell, record):
+    def snapshot(cell, record):
+        epoch = record.epoch
         print(
             f"epoch {record.epoch:3d} loss {record.loss:.6f} accuracy {record.accuracy:.4f}",
             flush=True,
@@ -294,7 +295,7 @@ def cmd_train(args) -> int:
             write_gates(cell, f"epoch{epoch:03d}")
             rep = AnalysisReport(
                 version=__version__,
-                config={"task": cfg.task, "kind": cfg.kind, "epoch": epoch, "seed": cfg.seed},
+                config={"task": train_ds.task, "kind": cfg.kind, "epoch": epoch, "seed": cfg.seed},
                 matrices=list(record.gate_reports.values()),
             )
             (out_dir / f"report-epoch{epoch:03d}.json").write_text(
@@ -330,29 +331,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("train", help="train a recurrent cell and track its spectrum")
-    p.add_argument("--task", choices=("adding", "mnist"), required=True)
-    p.add_argument("--kind", choices=("rnn", "lstm", "gru"), default="gru")
+    p.add_argument("--task", choices=TASKS, required=True)
+    p.add_argument("--kind", choices=KINDS, default=TrainConfig.kind)
     p.add_argument("--out", required=True)
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clip", type=float, default=1.0, help="gradient norm clip; 0 disables")
+    p.add_argument("--hidden", type=int, default=TrainConfig.hidden)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--clip", type=float, default=TrainConfig.grad_clip, help="gradient norm clip; 0 disables")
     p.add_argument(
         "--stabilize",
         type=int,
         nargs="?",
-        const=1,
-        default=None,
+        const=StabilizerConfig.m,
+        default=TrainConfig.stabilize,
         metavar="M",
         help="rescale every gate matrix after each epoch (M power iterations)",
     )
     p.add_argument("--train-size", type=int, default=10000)
     p.add_argument("--test-size", type=int, default=1000)
     p.add_argument("--seq-len", type=int, default=50)
-    p.add_argument("--memory-bias", type=float, default=2.0)
-    p.add_argument("--target-accuracy", type=float, default=None)
+    p.add_argument("--memory-bias", type=float, default=TrainConfig.memory_bias)
+    p.add_argument("--target-accuracy", type=float, default=TrainConfig.target_accuracy)
     p.add_argument("--snapshot-every", type=int, default=1, help="0 disables per-epoch weight snapshots")
     p.add_argument("--mnist-images")
     p.add_argument("--mnist-labels")
@@ -363,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stabilize", help="power-iteration rescale of a weight matrix")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("-m", type=int, default=1, help="power iterations")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-m", type=int, default=StabilizerConfig.m, help="power iterations")
+    p.add_argument("--seed", type=int, default=StabilizerConfig.seed)
     p.set_defaults(func=cmd_stabilize)
 
     p = sub.add_parser("compare", help="side-by-side pseudospectra of two matrices")
@@ -382,10 +383,7 @@ def main(argv=None) -> int:
     try:
         with one_thread:
             return args.func(args)
-    except FormatError as exc:
-        print(f"specto: input error: {exc}", file=sys.stderr)
-        return 3
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (FormatError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"specto: input error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

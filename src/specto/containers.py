@@ -110,12 +110,9 @@ def container_from_bytes(data: bytes, source: str = "<bytes>") -> MatrixContaine
     return MatrixContainer(matrix=matrix, name=name, complex_storage=is_complex)
 
 
-def write_matrix_file(path, matrix: Matrix | MatrixContainer, name: str | None = None) -> None:
-    if isinstance(matrix, MatrixContainer):
-        container = matrix
-    else:
-        container = MatrixContainer.wrap(matrix, name)
-    Path(path).write_bytes(container_to_bytes(container))
+def write_matrix_file(path, matrix: Matrix, name: str | None = None) -> None:
+    """Write ``matrix`` as a container named ``name``, complex storage only when it has imaginary parts."""
+    Path(path).write_bytes(container_to_bytes(MatrixContainer.wrap(matrix, name)))
 
 
 def parse_matrix_csv(path) -> Matrix:

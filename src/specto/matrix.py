@@ -9,6 +9,7 @@ singular values are cached on the immutable instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "spectral_radius",
     "schur",
     "mat_power_norms",
+    "normalized",
 ]
 
 
@@ -161,3 +163,22 @@ def mat_power_norms(m: Matrix, l_max: int) -> np.ndarray:
                 raise NumericalError(f"matrix power overflowed at exponent {k}")
             norms[k] = np.linalg.svd(p, compute_uv=False)[0]
     return norms
+
+
+def normalized(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """(a / s, s), s the power of two with s <= (largest |Re| or |Im| entry) < 2s.
+
+    For real or complex arrays; the zero array gives s = 1. Dividing by a power
+    of two is exact, so scale-invariant results on the quotient, and its norms
+    scaled back by s, equal the unscaled ones bit for bit unless those overflow.
+    """
+    peak = float(max(np.abs(a.real).max(), np.abs(a.imag).max()))
+    if peak == 0.0:
+        return a, 1.0
+    s = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+    if not np.iscomplexobj(a):
+        return a / s, s
+    # parts divided apart: complex division by s would multiply by 1/s, which overflows for subnormal s
+    v = np.empty_like(a)
+    v.real, v.imag = a.real / s, a.imag / s
+    return v, s

@@ -12,13 +12,12 @@ finite indices.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import Matrix, schur
+from .matrix import Matrix, normalized, schur
 
 __all__ = [
     "NonNormalityReport",
@@ -33,27 +32,11 @@ class NonNormalityReport:
     schur_departure: float
 
 
-def _normalized(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """(a / s, s), s the power of two with s <= (largest |Re| or |Im| entry) < 2s.
-
-    Dividing by a power of two is exact, so norms of the quotient scaled back
-    by s equal the unscaled ones bit for bit whenever those do not overflow.
-    """
-    peak = float(max(np.abs(a.real).max(), np.abs(a.imag).max()))
-    if peak == 0.0:
-        return a, 1.0
-    s = math.ldexp(1.0, math.frexp(peak)[1] - 1)
-    # parts divided apart: complex division by s would multiply by 1/s, which overflows for subnormal s
-    v = np.empty_like(a)
-    v.real, v.imag = a.real / s, a.imag / s
-    return v, s
-
-
 def _commutator_parts(w: Matrix, op: str) -> tuple[float, float]:
-    """||V V* - V* V||_F and ||V||_F for V = W / s (see _normalized)."""
+    """||V V* - V* V||_F and ||V||_F for V = W / s (see matrix.normalized)."""
     if not w.is_square:
         raise ValueError(f"{op} requires a square matrix, got {w.shape}")
-    v, _ = _normalized(w.array)
+    v, _ = normalized(w.array)
     vh = v.conj().T
     return float(np.linalg.norm(v @ vh - vh @ v)), float(np.linalg.norm(v))
 
@@ -82,7 +65,7 @@ def schur_departure(w: Matrix) -> tuple[np.ndarray, float]:
     ||N||_F^2 = ||W||_F^2 - sum |lambda_i|^2.
     """
     factors = schur(w)
-    n, s = _normalized(np.triu(factors.t.array, 1))
+    n, s = normalized(np.triu(factors.t.array, 1))
     return factors.eigenvalues, float(np.linalg.norm(n)) * s
 
 

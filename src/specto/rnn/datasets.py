@@ -18,6 +18,7 @@ import numpy as np
 from ..errors import FormatError
 
 __all__ = [
+    "TASKS",
     "Dataset",
     "generate_adding",
     "adding_splits",
@@ -27,19 +28,23 @@ __all__ = [
     "synthetic_digits",
 ]
 
+TASKS = ("adding", "mnist")
+
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Sequences (n, time, dim) with one target per sequence."""
+    """Sequences (n, time, dim) with one target per sequence, for one of ``TASKS``."""
 
     inputs: np.ndarray
     targets: np.ndarray
     task: str
 
     def __post_init__(self):
+        if self.task not in TASKS:
+            raise ValueError(f"unknown task {self.task!r}")
         if self.inputs.ndim != 3:
             raise ValueError(f"inputs must be (n, time, dim), got {self.inputs.shape}")
         if self.targets.shape != (self.inputs.shape[0],):

@@ -4,13 +4,14 @@ Plain SGD (optional global-norm gradient clipping, no adaptive optimizers)
 so the relationship between the recurrent weight spectrum and gradient
 behaviour stays undiluted. After every epoch the spectral radius and
 Henrici number of each recurrent gate matrix are recorded; optionally each
-gate matrix is replaced by its power-iteration stabilized rescale.
+gate matrix is replaced by its power-iteration stabilized rescale. The
+task is the training data's own; ``TrainConfig`` holds only scalars.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from ..stabilizer import StabilizerConfig, stabilize
 from .cells import (
     CellParams,
     KINDS,
-    TASKS,
     accuracy,
     batch_loss_and_grads,
     init_cell,
@@ -34,7 +34,6 @@ __all__ = ["TrainConfig", "EpochRecord", "train"]
 
 @dataclass
 class TrainConfig:
-    task: str
     kind: str = "gru"
     hidden: int = 32
     batch: int = 16
@@ -42,18 +41,18 @@ class TrainConfig:
     learning_rate: float = 0.5
     seed: int = 0
     grad_clip: float | None = 1.0
-    stabilizer: StabilizerConfig | None = None  # when set, rescale every gate after each epoch
+    stabilize: int | None = None  # when set, rescale every gate after each epoch with this many iterations
     memory_bias: float = 2.0
     target_accuracy: float | None = None
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown cell kind {self.kind!r}")
         for name in ("hidden", "batch", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive count")
+        if self.stabilize is not None and self.stabilize < 1:
+            raise ValueError(f"stabilize (--stabilize) iteration count must be >= 1 when set, got {self.stabilize!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate (--lr) must be finite and nonnegative, got {self.learning_rate!r}")
         if self.target_accuracy is not None and not 0.0 <= self.target_accuracy <= 1.0:
@@ -80,9 +79,9 @@ def _clip_grads(grads: dict[str, np.ndarray], clip: float) -> None:
             g *= scale
 
 
-def _stabilize_gates(cell: CellParams, base: StabilizerConfig, epoch: int) -> None:
+def _stabilize_gates(cell: CellParams, m: int, seed: int, epoch: int) -> None:
     for gi, gate in enumerate(cell.gates):
-        cfg = replace(base, seed=base.seed + 7919 * epoch + gi)
+        cfg = StabilizerConfig(m=m, seed=seed + 7919 * epoch + gi)
         result = stabilize(Matrix(cell.w_rec[gate]), cfg)
         cell.w_rec[gate] = np.ascontiguousarray(result.w_s.array.real)
 
@@ -96,19 +95,20 @@ def train(
     """Train a cell; returns final parameters and the per-epoch history.
 
     Deterministic for a fixed config: one RNG stream drives init and the
-    epoch shuffles. Accuracy is measured on ``eval_data`` when given, else
-    on the training set. ``on_epoch(epoch, cell, record)`` runs after each
-    epoch (snapshot hook). A non-finite loss aborts with TrainingDiverged.
+    epoch shuffles. The task is ``train_data.task``; accuracy is measured on
+    ``eval_data`` (same task) when given, else on the training set.
+    ``on_epoch(cell, record)`` runs after each epoch (snapshot hook). A
+    non-finite loss aborts with TrainingDiverged.
     """
+    task = train_data.task
     measure_on = eval_data if eval_data is not None else train_data
-    for data in (train_data, measure_on):
-        if cfg.task != data.task:
-            raise ValueError(f"config task {cfg.task!r} does not match data task {data.task!r}")
+    if measure_on.task != task:
+        raise ValueError(f"evaluation data task {measure_on.task!r} does not match training data task {task!r}")
     inputs, targets = train_data.inputs, train_data.targets
     n = inputs.shape[0]
     if n == 0:
         raise ValueError("training set is empty")
-    output_dim = 1 if cfg.task == "adding" else 10
+    output_dim = 1 if task == "adding" else 10
     rng = np.random.default_rng(cfg.seed)
     cell = init_cell(
         cfg.kind,
@@ -124,7 +124,7 @@ def train(
         loss_sum = 0.0
         for lo in range(0, n, cfg.batch):
             idx = perm[lo : lo + cfg.batch]
-            loss_val, grads = batch_loss_and_grads(cell, inputs[idx], targets[idx], cfg.task)
+            loss_val, grads = batch_loss_and_grads(cell, inputs[idx], targets[idx], task)
             if not np.isfinite(loss_val):
                 raise TrainingDiverged(f"loss became {loss_val} in epoch {epoch}")
             loss_sum += loss_val * len(idx)
@@ -132,8 +132,8 @@ def train(
                 _clip_grads(grads, cfg.grad_clip)
             for name, arr in param_items(cell):
                 arr -= cfg.learning_rate * grads[name]
-        if cfg.stabilizer is not None:
-            _stabilize_gates(cell, cfg.stabilizer, epoch)
+        if cfg.stabilize is not None:
+            _stabilize_gates(cell, cfg.stabilize, cfg.seed, epoch)
         acc = accuracy(cell, measure_on)
         reports = {
             g: build_matrix_report(f"{cfg.kind}-{g}", Matrix(cell.w_rec[g])) for g in cell.gates
@@ -141,7 +141,7 @@ def train(
         record = EpochRecord(epoch=epoch, loss=loss_sum / n, accuracy=acc, gate_reports=reports)
         history.append(record)
         if on_epoch is not None:
-            on_epoch(epoch, cell, record)
+            on_epoch(cell, record)
         if cfg.target_accuracy is not None and acc >= cfg.target_accuracy:
             break
     return cell, history

@@ -6,17 +6,19 @@ matrix by the Rayleigh product u^T W v. As m grows the product converges to
 the largest singular value, so the rescaled matrix has spectral norm (and
 hence spectral radius) approaching 1. The rescale is a pure scalar division:
 eigenvectors, eigenvalue directions and every scale-invariant non-normality
-measure are untouched.
+measure are untouched. The iteration, scale-invariant too, runs on W over a
+power of two, which keeps entries near the float limits finite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-from .matrix import Matrix
+from .matrix import Matrix, normalized
 
 __all__ = ["StabilizerConfig", "StabilizationResult", "stabilize"]
 
@@ -28,21 +30,17 @@ class StabilizerConfig:
     """Inputs of the stabilization iteration.
 
     m is the number of power iterations (default 1: cheap, start-vector
-    dependent, reproducible through the seed). The start vector is drawn
-    from N(0, 1) unless an explicit one is injected.
+    dependent). The start vector, and any restart after an exact dead end,
+    is drawn from N(0, 1) by ``numpy.random.default_rng(seed)``, so a seed
+    reproduces the result bit for bit.
     """
 
     m: int = 1
     seed: int = 0
-    injected_u0: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("iteration count m must be >= 1")
-        if self.injected_u0 is not None:
-            u0 = np.asarray(self.injected_u0, dtype=float)
-            if u0.ndim != 1 or np.linalg.norm(u0) == 0.0:
-                raise ValueError("injected_u0 must be a 1-D vector with nonzero norm")
 
 
 @dataclass(frozen=True)
@@ -54,12 +52,7 @@ class StabilizationResult:
 def _power_pair(a: np.ndarray, cfg: StabilizerConfig) -> tuple[np.ndarray, np.ndarray]:
     """(u, v) after cfg.m alternating power steps, restarting on an exact dead end."""
     rng = np.random.default_rng(cfg.seed)
-    if cfg.injected_u0 is None:
-        u = rng.normal(0.0, 1.0, a.shape[0])
-    else:
-        u = np.asarray(cfg.injected_u0, dtype=float)
-        if u.shape != (a.shape[0],):
-            raise ValueError(f"injected_u0 has dimension {u.shape[0]}, matrix has {a.shape[0]} rows")
+    u = rng.normal(0.0, 1.0, a.shape[0])
     restarts = 0
     steps = 0
     while steps < cfg.m:
@@ -87,17 +80,24 @@ def stabilize(w: Matrix, cfg: StabilizerConfig = StabilizerConfig()) -> Stabiliz
 
     The divisor is |u_m^T W v_m|; the absolute value guards against a sign
     flip of the spectrum (the product is provably positive after a full
-    iteration, so this only matters for pathological arithmetic).
+    iteration, so this only matters for pathological arithmetic). It is
+    computed as g·2^k from the iteration on B = W/2^k (``normalized``), and
+    W_s = B/g, which is bitwise W/(g·2^k) whenever that is finite and
+    normal. A gain past the float range raises NumericalError.
     """
     if not w.is_square:
         raise ValueError(f"stabilize requires a square matrix, got {w.shape}")
     if not w.is_real:
         raise ValueError("stabilize requires a real-valued matrix")
-    a = np.ascontiguousarray(w.array.real)
+    a = w.array.real
     if not a.any():
         raise ValueError("cannot stabilize the zero matrix")
-    u, v = _power_pair(a, cfg)
-    gain = float(abs(u @ (a @ v)))
-    if gain == 0.0:
+    b, scale = normalized(a)
+    u, v = _power_pair(b, cfg)
+    g = float(abs(u @ (b @ v)))
+    if g == 0.0:
         raise NumericalError("gain estimate vanished")
-    return StabilizationResult(w_s=Matrix(a / gain), gain_estimate=gain)
+    gain = g * scale
+    if not (math.isfinite(gain) and gain > 0.0):
+        raise NumericalError(f"gain estimate {g!r} * 2^{math.frexp(scale)[1] - 1} is past the float range")
+    return StabilizationResult(w_s=Matrix(b / g), gain_estimate=gain)

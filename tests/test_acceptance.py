@@ -155,7 +155,6 @@ def adding_runs():
     runs = []
     for seed in (0, 1, 2):
         cfg = TrainConfig(
-            task="adding",
             kind="gru",
             hidden=32,
             batch=16,
@@ -202,7 +201,6 @@ def test_criterion_07_sequential_image_desk_scale(tmp_path):
         train_ds = Dataset(full.inputs[:5000], full.targets[:5000], "mnist")
         test_ds = Dataset(full.inputs[5000:6000], full.targets[5000:6000], "mnist")
         cfg = TrainConfig(
-            task="mnist",
             kind="rnn",
             hidden=64,
             batch=8,

@@ -21,8 +21,9 @@ from specto import (
 )
 import specto.cli as cli
 import specto.pseudospectrum as pseudospectrum
+from specto import StabilizerConfig
 from specto.cli import main
-from specto.rnn import synthetic_digits, write_idx_images, write_idx_labels
+from specto.rnn import TrainConfig, synthetic_digits, write_idx_images, write_idx_labels
 
 
 def run(argv):
@@ -304,6 +305,38 @@ class TestStabilize:
         src.write_text("0,0\n0,0\n")
         assert run(["stabilize", src, tmp_path / "o.pspc"]) == 2
 
+    def test_defaults_are_the_config_defaults(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake(w, cfg):
+            seen.append(cfg)
+            raise StopIteration
+
+        monkeypatch.setattr(cli, "stabilize", fake)
+        src = tmp_path / "w.csv"
+        src.write_text("1,2\n3,4\n")
+        with pytest.raises(StopIteration):
+            run(["stabilize", src, tmp_path / "o.pspc"])
+        assert seen == [StabilizerConfig()]
+
+    @pytest.mark.parametrize("entry, code", [("1e307", 0), ("1e308", 4), ("1e-320", 0)])
+    def test_extreme_scales(self, tmp_path, capsys, entry, code):
+        # the iteration runs on W/2^k: no vanishing vector, and only the gain 2e308 overflows
+        src = tmp_path / "w.csv"
+        src.write_text(f"{entry},{entry}\n{entry},{entry}\n")
+        dst = tmp_path / "o.pspc"
+        assert run(["stabilize", src, dst, "-m", "5"]) == code
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "Warning" not in captured.err
+        assert dst.exists() == (code == 0)
+        if code == 0:
+            # a subnormal gain is rounded to a multiple of 2^-1074
+            assert float(captured.out) == pytest.approx(2 * float(entry), rel=1e-15, abs=2.0**-1074)
+            label, _, rho = captured.err.strip().partition("=")
+            assert label == "rho(W_s)" and float(rho) == pytest.approx(1.0, abs=1e-14)
+        else:
+            assert captured.err.startswith("specto: numerical failure:") and "float range" in captured.err
+
 
 class TestCompare:
     def test_stabilized_deltas(self, tmp_path, rng, capsys):
@@ -466,6 +499,31 @@ class TestFailuresWriteNothing:
         assert run([*argv, "--mnist-labels", tmp_path / "none2.idx"]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "w.csv", "--out", "F", "--nx", "5", "--ny", "5"],
+            ["compare", "w.csv", "w.csv", "--out", "F", "--nx", "5", "--ny", "5"],
+            ["train", "--task", "adding", "--out", "F", "--train-size", "8", "--test-size", "4",
+             "--seq-len", "4", "--epochs", "1", "--hidden", "2"],
+            ["analyze", "F/x", "--out", "o"],
+            ["analyze", "w.csv", "--out", "F/sub", "--nx", "5", "--ny", "5"],
+            ["stabilize", "w.csv", "F/x.pspc"],
+        ],
+    )
+    def test_unusable_path_exit_3(self, tmp_path, capsys, monkeypatch, argv):
+        # F is a regular file, so it can be neither an output directory nor a parent
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "w.csv").write_text("0.5,1\n0,0.25\n")
+        (tmp_path / "F").write_text("a file\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("specto: input error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "F").read_text() == "a file\n"
+
 
 class TestTrain:
     def test_tiny_adding_run(self, tmp_path, capsys):
@@ -539,6 +597,18 @@ class TestTrain:
         for row in rows:
             for rho in (float(row[3]), float(row[5]), float(row[7])):
                 assert rho <= 1.0 + 1e-6
+
+    def test_defaults_are_the_config_defaults(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake(cfg, *args, **kwargs):
+            seen.append(cfg)
+            raise StopIteration
+
+        monkeypatch.setattr(cli, "train", fake)
+        with pytest.raises(StopIteration):
+            run(["train", "--task", "adding", "--out", tmp_path / "d"])
+        assert seen == [TrainConfig()]
 
     def test_stabilize_zero_exit_2(self, tmp_path, capsys):
         code = run(["train", "--task", "adding", "--out", tmp_path / "o", "--stabilize", "0"])

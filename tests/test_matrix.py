@@ -20,6 +20,7 @@ from specto import (
     spectral_radius,
     two_norm,
 )
+from specto.matrix import normalized
 
 JORDAN2 = Matrix([[0.0, 1.0], [0.0, 0.0]])
 
@@ -227,3 +228,22 @@ def test_power_norms_submultiplicative_in_l(n, seed):
     top = norms[1]
     for k in range(1, 7):
         assert norms[k] <= top**k * (1 + 1e-10) + 1e-300
+
+
+class TestNormalized:
+    @pytest.mark.parametrize("peak", [3.0, 1e307, 1.7e308, 1e-320, 5e-324])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_power_of_two_scale(self, peak, dtype):
+        a = np.array([[peak, -peak / 4], [0.0, peak / 2]], dtype=dtype)
+        if dtype is np.complex128:
+            a[1, 0] = -1j * peak
+        v, s = normalized(a)
+        assert v.dtype == a.dtype
+        assert np.frexp(s)[0] == 0.5  # a power of two
+        assert 1.0 <= max(np.abs(v.real).max(), np.abs(v.imag).max()) < 2.0
+        assert np.array_equal(v.real * s, a.real) and np.array_equal(v.imag * s, a.imag)
+
+    def test_zero_array(self):
+        a = np.zeros((2, 2))
+        v, s = normalized(a)
+        assert s == 1.0 and np.array_equal(v, a)

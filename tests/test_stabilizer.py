@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import assert_multiset_close
 
 from specto import (
     Matrix,
+    NumericalError,
     StabilizerConfig,
     eigenvalues,
     henrici_number,
@@ -17,25 +20,40 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             StabilizerConfig(m=0)
-        with pytest.raises(ValueError):
-            StabilizerConfig(injected_u0=np.zeros(3))
 
-    def test_injected_dimension_checked(self):
-        cfg = StabilizerConfig(injected_u0=np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(ValueError, match="dimension"):
-            stabilize(Matrix(np.eye(2)), cfg)
+    def test_fields_are_the_settings(self):
+        assert [f.name for f in dataclasses.fields(StabilizerConfig)] == ["m", "seed"]
+
+
+def start_vector(seed: int, n: int) -> np.ndarray:
+    """The documented start vector: N(0, 1) draws of numpy.random.default_rng(seed)."""
+    return np.random.default_rng(seed).normal(0.0, 1.0, n)
+
+
+def reference_pair(a: np.ndarray, m: int, seed: int) -> tuple[float, np.ndarray]:
+    """(gain, W_s) from m alternating steps on the unscaled W, with no restart."""
+    u = start_vector(seed, a.shape[0])
+    for _ in range(m):
+        v = a.T @ u
+        v = v / np.linalg.norm(v)
+        u = a @ v
+        u = u / np.linalg.norm(u)
+    gain = float(abs(u @ (a @ v)))
+    return gain, a / gain
 
 
 class TestHandTraces:
     def test_diagonal_one_step(self):
-        # u0=(1,0): v1=(1,0), u1=(1,0), gain = 2
-        cfg = StabilizerConfig(m=1, injected_u0=np.array([1.0, 0.0]))
-        res = stabilize(Matrix(np.diag([2.0, 0.5])), cfg)
-        assert res.gain_estimate == pytest.approx(2.0, abs=1e-14)
-        np.testing.assert_allclose(res.w_s.array.real, np.diag([1.0, 0.25]), atol=1e-14)
+        # u0 = (p, q): v1 ~ (2p, q/2), u1 ~ (4p, q/4), gain = |(4p, q/4)| / |(2p, q/2)|
+        p, q = start_vector(0, 2)
+        res = stabilize(Matrix(np.diag([2.0, 0.5])), StabilizerConfig(m=1, seed=0))
+        gain = np.hypot(4 * p, q / 4) / np.hypot(2 * p, q / 2)
+        assert res.gain_estimate == pytest.approx(gain, rel=1e-14)
+        np.testing.assert_allclose(res.w_s.array.real, np.diag([2.0, 0.5]) / gain, rtol=1e-14)
 
     def test_rank_one_converges_in_one_step(self):
-        cfg = StabilizerConfig(m=1, injected_u0=np.array([0.7, -0.3]))
+        # any start with u0[0] != 0: v1 = (0, ±1), u1 = (±1, 0), gain = 2
+        cfg = StabilizerConfig(m=1, seed=0)
         res = stabilize(Matrix([[0.0, 2.0], [0.0, 0.0]]), cfg)
         assert res.gain_estimate == pytest.approx(2.0, abs=1e-12)
         np.testing.assert_allclose(res.w_s.array.real, [[0.0, 1.0], [0.0, 0.0]], atol=1e-12)
@@ -46,10 +64,22 @@ class TestHandTraces:
             assert res.gain_estimate == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(res.w_s.array.real, np.eye(4), atol=1e-12)
 
-    def test_dead_end_start_vector_restarts(self):
+    def test_dead_end_start_vector_restarts(self, monkeypatch):
         # W^T u0 = 0 for u0 = e2: a fresh random start must recover
-        cfg = StabilizerConfig(m=1, seed=11, injected_u0=np.array([0.0, 1.0]))
-        res = stabilize(Matrix([[0.0, 2.0], [0.0, 0.0]]), cfg)
+        real_rng = np.random.default_rng
+
+        class DeadFirstStart:
+            def __init__(self, seed):
+                self._rng, self._first = real_rng(seed), True
+
+            def normal(self, loc, scale, size):
+                if self._first:
+                    self._first = False
+                    return np.array([0.0, 1.0])
+                return self._rng.normal(loc, scale, size)
+
+        monkeypatch.setattr(np.random, "default_rng", DeadFirstStart)
+        res = stabilize(Matrix([[0.0, 2.0], [0.0, 0.0]]), StabilizerConfig(m=1, seed=11))
         assert res.gain_estimate == pytest.approx(2.0, abs=1e-12)
 
 
@@ -127,3 +157,27 @@ class TestGainConvergence:
         w = Matrix(rng.standard_normal((10, 10)))
         res = stabilize(w, StabilizerConfig(m=200, seed=6))
         assert res.gain_estimate == pytest.approx(two_norm(w), rel=1e-6)
+
+
+class TestExtremeScales:
+    """The iteration runs on W/2^k, so every finite W gives a finite W_s."""
+
+    @pytest.mark.parametrize("m", [1, 7, 200])
+    @pytest.mark.parametrize("scale", [1e-5, 1e-2, 1.0, 3.0, 1e2, 1e5])
+    def test_bitwise_equal_to_unscaled_iteration(self, rng, scale, m):
+        for n in (1, 2, 5, 17, 39):
+            a = rng.standard_normal((n, n)) * scale
+            res = stabilize(Matrix(a), StabilizerConfig(m=m, seed=n))
+            gain, w_s = reference_pair(a, m, seed=n)
+            assert res.gain_estimate == gain
+            assert np.array_equal(res.w_s.array.real, w_s)
+
+    @pytest.mark.parametrize("entry, gain", [(1e307, 2.0000000000000002e307), (1e-320, 2e-320)])
+    def test_near_the_float_limits(self, entry, gain):
+        res = stabilize(Matrix(np.full((2, 2), entry)), StabilizerConfig(m=5))
+        assert res.gain_estimate == gain
+        np.testing.assert_allclose(res.w_s.array.real, np.full((2, 2), 0.5), rtol=1e-15)
+
+    def test_gain_past_the_float_range(self):
+        with pytest.raises(NumericalError, match="float range"):
+            stabilize(Matrix(np.full((2, 2), 1e308)), StabilizerConfig(m=5))

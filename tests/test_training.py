@@ -1,7 +1,11 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from specto import StabilizerConfig, TrainingDiverged
+from specto import Matrix, StabilizerConfig, TrainingDiverged, stabilize
+from specto.report import emit
 from specto.rnn import Dataset, TrainConfig, generate_adding, init_cell, param_items, train
 
 
@@ -11,7 +15,6 @@ def small_adding(n=600, seq_len=12, seed=0):
 
 def small_cfg(**kw):
     base = dict(
-        task="adding",
         kind="gru",
         hidden=8,
         batch=32,
@@ -25,20 +28,31 @@ def small_cfg(**kw):
 
 class TestConfigValidation:
     def test_task_and_kind(self):
+        with pytest.raises(ValueError, match="unknown task"):
+            Dataset(np.zeros((2, 3, 2)), np.zeros(2), "sorting")
         with pytest.raises(ValueError):
-            TrainConfig(task="sorting")
-        with pytest.raises(ValueError):
-            TrainConfig(task="adding", kind="elman")
+            TrainConfig(kind="elman")
 
     def test_positive_counts(self):
         with pytest.raises(ValueError):
-            TrainConfig(task="adding", epochs=0)
+            TrainConfig(epochs=0)
         with pytest.raises(ValueError):
-            TrainConfig(task="adding", grad_clip=0.0)
+            TrainConfig(grad_clip=0.0)
+        with pytest.raises(ValueError, match="stabilize"):
+            TrainConfig(stabilize=0)
 
-    def test_task_data_mismatch(self):
-        with pytest.raises(ValueError, match="task"):
-            train(TrainConfig(task="mnist"), small_adding())
+    def test_fields_are_the_settings(self):
+        names = [f.name for f in dataclasses.fields(TrainConfig)]
+        assert names == [
+            "kind", "hidden", "batch", "epochs", "learning_rate", "seed",
+            "grad_clip", "stabilize", "memory_bias", "target_accuracy",
+        ]
+
+    @pytest.mark.parametrize("cfg", [TrainConfig(), TrainConfig(stabilize=200)])
+    def test_flat_json_round_trip(self, cfg):
+        flat = dataclasses.asdict(cfg)
+        assert all(v is None or isinstance(v, (int, float, str)) for v in flat.values())
+        assert TrainConfig(**json.loads(emit(flat))) == cfg
 
     def test_eval_data_task_mismatch(self):
         # accuracy scores by the data's own task, so the evaluation set must share it
@@ -92,14 +106,20 @@ class TestTrainingMechanics:
 
     def test_stabilization_caps_radius_every_epoch(self):
         data = small_adding(n=300)
-        cfg = small_cfg(
-            epochs=3,
-            stabilizer=StabilizerConfig(m=200, seed=0),
-        )
+        cfg = small_cfg(epochs=3, stabilize=200)
         _, history = train(cfg, data)
         for rec in history:
             for rep in rec.gate_reports.values():
                 assert rep.spectral_radius <= 1.0 + 1e-6
+
+    def test_stabilizer_seed_per_epoch_and_gate(self):
+        # gate gi after epoch e is stabilized with seed cfg.seed + 7919*e + gi
+        cfg = small_cfg(epochs=1, learning_rate=0.0, stabilize=3, seed=5)
+        cell, _ = train(cfg, small_adding(n=64))
+        init = init_cell("gru", 2, cfg.hidden, 1, seed=np.random.default_rng(cfg.seed), memory_bias=cfg.memory_bias)
+        for gi, gate in enumerate(init.gates):
+            want = stabilize(Matrix(init.w_rec[gate]), StabilizerConfig(m=3, seed=5 + 7919 + gi))
+            assert np.array_equal(cell.w_rec[gate], want.w_s.array.real)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reported(self):
@@ -124,5 +144,5 @@ class TestTrainingMechanics:
 
     def test_on_epoch_hook_sees_running_state(self):
         seen = []
-        train(small_cfg(epochs=2), small_adding(n=120), on_epoch=lambda e, c, r: seen.append((e, r.epoch)))
-        assert seen == [(1, 1), (2, 2)]
+        train(small_cfg(epochs=2), small_adding(n=120), on_epoch=lambda c, r: seen.append((c.kind, r.epoch)))
+        assert seen == [("gru", 1), ("gru", 2)]
