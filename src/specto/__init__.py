@@ -54,7 +54,6 @@ from .report import (
     AnalysisReport,
     MatrixReport,
     build_matrix_report,
-    compare_svg,
     parse_report,
     portrait_svg,
     serialize_report,
@@ -83,7 +82,6 @@ __all__ = [
     "auto_grid",
     "build_matrix_report",
     "check_levels",
-    "compare_svg",
     "compute_field",
     "compute_fields",
     "container_from_bytes",

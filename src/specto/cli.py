@@ -17,7 +17,8 @@ thread settings. --timing prints to stderr whether that pin took and, for
 each matrix, the seconds from the start of the shared field phase to the
 end of that matrix's report, and its evaluated grid nodes, in one format
 for every worker count, and leaves the outputs alone. An input error is a
-malformed file or a path that cannot be read or written.
+malformed or non-square matrix file, or a path that cannot be read or
+written.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .report import (
     AnalysisReport,
     DEFAULT_STABILITY_TOL,
     build_matrix_report,
-    compare_svg,
     emit,
     fmt_float,
     portrait_svg,
@@ -116,31 +116,39 @@ def _grid_flags(sub):
     )
 
 
+def _load_square(path):
+    """(matrix, name) of a matrix file; a non-square matrix is an input error."""
+    m, name = load_matrix_any(path)
+    if not m.is_square:
+        raise FormatError(f"{name}: expected a square matrix, got {m.shape}")
+    return m, name
+
+
+def _analyze_jobs(jobs, eps, args, timing=False):
+    """Fields, contours and reports of (name, matrix, grid) jobs, the fields on one SVD pool."""
+    t0 = time.perf_counter()
+    fields = compute_fields([(m, grid) for _, m, grid in jobs], eps, workers=args.workers)
+    contours, reports = [], []
+    for (name, m, _), field in zip(jobs, fields):
+        contours.append(extract_contours(field, eps))
+        reports.append(build_matrix_report(name, m, field, contours[-1], stability_tol=args.stability_tol))
+        if timing:
+            evaluated = f"{field.evaluated} of {field.exact.size} nodes evaluated"
+            print(f"{name}: {time.perf_counter() - t0:.6g} s, {evaluated}", file=sys.stderr)
+    return fields, contours, reports
+
+
 def cmd_analyze(args) -> int:
     eps = _parse_eps(args.eps)
     _check_stability_tol(args.stability_tol)
-    loaded = [load_matrix_any(p) for p in args.inputs]
+    loaded = [_load_square(p) for p in args.inputs]
     names = _unique_names(name for _, name in loaded)
-    for (m, _), name in zip(loaded, names):
-        if not m.is_square:
-            raise FormatError(f"{name}: pseudospectrum analysis needs a square matrix, got {m.shape}")
-    jobs = [(m, _grid_for(args, m)) for m, _ in loaded]
+    jobs = [(name, m, _grid_for(args, m)) for (m, _), name in zip(loaded, names)]
     if args.timing:
         pinned = ", ".join(one_thread.pinned)
         note = f"one thread ({pinned})" if pinned else "unpinned, no OpenBLAS thread setter found"
         print(f"blas: {note}", file=sys.stderr)
-    t0 = time.perf_counter()
-    fields = compute_fields(jobs, eps, workers=args.workers)
-    contours, reports = [], []
-    for (m, _), field, name in zip(jobs, fields, names):
-        contours.append(extract_contours(field, eps))
-        reports.append(build_matrix_report(name, m, field, contours[-1], stability_tol=args.stability_tol))
-        if args.timing:
-            print(
-                f"{name}: {time.perf_counter() - t0:.6g} s, "
-                f"{field.evaluated} of {field.exact.size} nodes evaluated",
-                file=sys.stderr,
-            )
+    fields, contours, reports = _analyze_jobs(jobs, eps, args, timing=args.timing)
     config = {
         "grid": "explicit" if args.box is not None else "auto",
         "box": list(args.box) if args.box is not None else None,
@@ -154,10 +162,10 @@ def cmd_analyze(args) -> int:
     text = serialize_report(AnalysisReport(version=__version__, config=config, matrices=reports))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for (m, grid), field, name, contour, rep in zip(jobs, fields, names, contours, reports):
+    for (name, m, grid), field, contour, rep in zip(jobs, fields, contours, reports):
         write_contours_csv(out_dir / f"contours-{name}.csv", contour)
         (out_dir / f"portrait-{name}.svg").write_text(
-            portrait_svg(name, field.eigenvalues, grid, contour), encoding="utf-8"
+            portrait_svg([(name, field.eigenvalues, contour)], grid), encoding="utf-8"
         )
         verdict = "stable" if rep.stable else "UNSTABLE"
         print(
@@ -169,7 +177,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_stabilize(args) -> int:
-    m, name = load_matrix_any(args.input)
+    m, name = _load_square(args.input)
     result = stabilize(m, StabilizerConfig(m=args.m, seed=args.seed))
     write_matrix_file(args.output, result.w_s, name)
     print(fmt_float(result.gain_estimate))
@@ -181,20 +189,13 @@ def cmd_stabilize(args) -> int:
 def cmd_compare(args) -> int:
     eps = _parse_eps(args.eps)
     _check_stability_tol(args.stability_tol)
-    before, before_name = load_matrix_any(args.before)
-    after, after_name = load_matrix_any(args.after)
+    before, before_name = _load_square(args.before)
+    after, after_name = _load_square(args.after)
     if before.shape != after.shape:
-        raise FormatError(
-            f"dimension mismatch: {before_name} is {before.shape}, {after_name} is {after.shape}"
-        )
-    before_name, after_name = _unique_names([f"before-{before_name}", f"after-{after_name}"])
+        raise FormatError(f"dimension mismatch: {before_name} is {before.shape}, {after_name} is {after.shape}")
+    names = _unique_names([f"before-{before_name}", f"after-{after_name}"])
     grid = _grid_for(args, before, after)
-    fields = compute_fields([(before, grid), (after, grid)], eps, workers=args.workers)
-    contours = [extract_contours(f, eps) for f in fields]
-    reports = [
-        build_matrix_report(n, m, f, c, stability_tol=args.stability_tol)
-        for n, m, f, c in zip((before_name, after_name), (before, after), fields, contours)
-    ]
+    fields, contours, reports = _analyze_jobs([(names[0], before, grid), (names[1], after, grid)], eps, args)
     counts = [[int((f.values <= e).sum()) for e in eps] for f in fields]
     delta = {
         "eps_levels": eps,
@@ -203,16 +204,10 @@ def cmd_compare(args) -> int:
         "henrici_delta": reports[1].henrici - reports[0].henrici,
         "node_counts_before": counts[0],
         "node_counts_after": counts[1],
-        "node_count_ratio": [
-            (b and a / b) if b else None for a, b in zip(counts[1], counts[0])
-        ],
+        "node_count_ratio": [a / b if b else None for a, b in zip(counts[1], counts[0])],
     }
     text = emit(delta)
-    svg = compare_svg(
-        (before_name, fields[0].eigenvalues, contours[0]),
-        (after_name, fields[1].eigenvalues, contours[1]),
-        grid,
-    )
+    svg = portrait_svg([(n, f.eigenvalues, c) for n, f, c in zip(names, fields, contours)], grid)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "compare.json").write_text(text, encoding="utf-8")

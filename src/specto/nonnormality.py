@@ -12,7 +12,6 @@ finite indices.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,45 +31,32 @@ class NonNormalityReport:
     schur_departure: float
 
 
-def _commutator_parts(w: Matrix, op: str) -> tuple[float, float]:
-    """||V V* - V* V||_F and ||V||_F for V = W / s (see matrix.normalized)."""
-    if not w.is_square:
-        raise ValueError(f"{op} requires a square matrix, got {w.shape}")
-    v, _ = normalized(w.array)
-    vh = v.conj().T
-    return float(np.linalg.norm(v @ vh - vh @ v)), float(np.linalg.norm(v))
-
-
 def henrici_number(w: Matrix) -> float:
     """Scale-invariant non-normality index ||W W* - W* W||_F / ||W||_F^2.
 
-    Zero (within rounding) iff W is normal. The zero matrix is degenerate;
-    it is reported as 0 with a warning.
+    Zero (within rounding) iff W is normal; the zero matrix, which is
+    normal, reads 0.
     """
-    comm, fro = _commutator_parts(w, "henrici_number")
+    if not w.is_square:
+        raise ValueError(f"henrici_number requires a square matrix, got {w.shape}")
+    v, _ = normalized(w.array)
+    fro = float(np.linalg.norm(v))
     if fro == 0.0:
-        warnings.warn(
-            "henrici_number of the zero matrix is degenerate; returning 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
         return 0.0
-    return comm / fro**2
+    vh = v.conj().T
+    return float(np.linalg.norm(v @ vh - vh @ v)) / fro**2
 
 
-def schur_departure(w: Matrix) -> tuple[np.ndarray, float]:
-    """Eigenvalues plus ||N||_F, the strict upper triangle of the Schur T.
+def schur_departure(w: Matrix) -> float:
+    """||N||_F, the strict upper triangle of the Schur T.
 
     N itself is not unique but its Frobenius norm is, and it satisfies
     ||N||_F^2 = ||W||_F^2 - sum |lambda_i|^2.
     """
-    factors = schur(w)
-    n, s = normalized(np.triu(factors.t.array, 1))
-    return factors.eigenvalues, float(np.linalg.norm(n)) * s
+    n, s = normalized(np.triu(schur(w).t.array, 1))
+    return float(np.linalg.norm(n)) * s
 
 
 def nonnormality_report(w: Matrix) -> NonNormalityReport:
-    """Both indices at once; the zero matrix reads 0 without henrici_number's warning."""
-    _, departure = schur_departure(w)
-    comm, fro = _commutator_parts(w, "nonnormality_report")
-    return NonNormalityReport(henrici=0.0 if fro == 0.0 else comm / fro**2, schur_departure=departure)
+    """Both indices at once."""
+    return NonNormalityReport(henrici=henrici_number(w), schur_departure=schur_departure(w))

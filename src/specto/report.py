@@ -29,7 +29,6 @@ __all__ = [
     "fmt_float",
     "write_contours_csv",
     "portrait_svg",
-    "compare_svg",
 ]
 
 TOOLKIT_NAME = "specto"
@@ -145,8 +144,7 @@ def write_contours_csv(path, contours: ContourSet) -> None:
 # SVG spectral portraits
 # ---------------------------------------------------------------------------
 
-_PORTRAIT_SIZE, _PORTRAIT_MARGIN = 560, 80  # pixels: plot square, border around it
-_COMPARE_SIZE, _COMPARE_MARGIN, _COMPARE_GAP = 420, 70, 40  # per panel, and between the panels
+_PORTRAIT_SIZE, _PORTRAIT_MARGIN, _PORTRAIT_GAP = 560, 80, 40  # pixels: plot square, border, between plots
 _PALETTE = ("#440154", "#414487", "#2a788e", "#22a884", "#7ad151", "#fde725")
 _EIG_COLOR = "#d62728"
 
@@ -223,55 +221,30 @@ def _legend_elements(levels, x: float, y: float):
     return parts
 
 
-def portrait_svg(
-    name: str,
-    evs,
-    grid: GridSpec,
-    contours: ContourSet | None,
-) -> str:
-    """Spectral portrait: unit circle, eigenvalues, eps contours, legend."""
-    size, margin = _PORTRAIT_SIZE, _PORTRAIT_MARGIN
-    width = height = size + 2 * margin
-    frame = _Frame(grid, margin, margin, size, size)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text class="title" x="{margin}" y="{margin - 14}" font-size="14" '
-        f'font-family="monospace">{_xml_escape(name)}</text>',
-    ]
-    parts += _panel_elements(frame, evs, contours, unit_circle_id="unit-circle")
-    if contours is not None:
-        parts += _legend_elements(contours.levels, margin + size + 8, margin)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+def portrait_svg(panels, grid: GridSpec) -> str:
+    """Spectral portraits of ``(name, eigenvalues, contours or None)`` panels, side by side on one grid.
 
-
-def compare_svg(
-    left: tuple[str, np.ndarray, ContourSet | None],
-    right: tuple[str, np.ndarray, ContourSet | None],
-    grid: GridSpec,
-) -> str:
-    """Two portraits over a shared grid, side by side with shared axes."""
-    size, margin, gap = _COMPARE_SIZE, _COMPARE_MARGIN, _COMPARE_GAP
-    width = 2 * size + 2 * margin + gap
+    Each panel has its title, unit circle, eigenvalues and eps contours; the
+    legend of the first panel's levels stands right of the last panel.
+    """
+    size, margin, gap = _PORTRAIT_SIZE, _PORTRAIT_MARGIN, _PORTRAIT_GAP
+    width = len(panels) * (size + gap) - gap + 2 * margin
     height = size + 2 * margin
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    for k, (name, evs, contours) in enumerate((left, right)):
+    for k, (name, evs, contours) in enumerate(panels):
         x0 = margin + k * (size + gap)
-        frame = _Frame(grid, x0, margin, size, size)
         parts.append(
-            f'<text class="title" x="{x0}" y="{margin - 12}" font-size="13" '
+            f'<text class="title" x="{x0}" y="{margin - 14}" font-size="14" '
             f'font-family="monospace">{_xml_escape(name)}</text>'
         )
-        parts += _panel_elements(frame, evs, contours, unit_circle_id=None)
-    levels = left[2].levels if left[2] is not None else None
-    if levels:
-        parts += _legend_elements(levels, margin, margin + size + 16)
+        frame = _Frame(grid, x0, margin, size, size)
+        parts += _panel_elements(frame, evs, contours, unit_circle_id="unit-circle" if k == 0 else None)
+    if panels[0][2] is not None:
+        parts += _legend_elements(panels[0][2].levels, x0 + size + 8, margin)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -108,6 +108,8 @@ def train(
     n = inputs.shape[0]
     if n == 0:
         raise ValueError("training set is empty")
+    if len(measure_on) == 0:
+        raise ValueError("evaluation set is empty")
     output_dim = 1 if task == "adding" else 10
     rng = np.random.default_rng(cfg.seed)
     cell = init_cell(
@@ -122,16 +124,17 @@ def train(
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(n)
         loss_sum = 0.0
-        for lo in range(0, n, cfg.batch):
-            idx = perm[lo : lo + cfg.batch]
-            loss_val, grads = batch_loss_and_grads(cell, inputs[idx], targets[idx], task)
-            if not np.isfinite(loss_val):
-                raise TrainingDiverged(f"loss became {loss_val} in epoch {epoch}")
-            loss_sum += loss_val * len(idx)
-            if cfg.grad_clip is not None:
-                _clip_grads(grads, cfg.grad_clip)
-            for name, arr in param_items(cell):
-                arr -= cfg.learning_rate * grads[name]
+        with np.errstate(over="ignore", invalid="ignore"):  # the non-finite loss check reports divergence
+            for lo in range(0, n, cfg.batch):
+                idx = perm[lo : lo + cfg.batch]
+                loss_val, grads = batch_loss_and_grads(cell, inputs[idx], targets[idx], task)
+                if not np.isfinite(loss_val):
+                    raise TrainingDiverged(f"loss became {loss_val} in epoch {epoch}")
+                loss_sum += loss_val * len(idx)
+                if cfg.grad_clip is not None:
+                    _clip_grads(grads, cfg.grad_clip)
+                for name, arr in param_items(cell):
+                    arr -= cfg.learning_rate * grads[name]
         if cfg.stabilize is not None:
             _stabilize_gates(cell, cfg.stabilize, cfg.seed, epoch)
         acc = accuracy(cell, measure_on)

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -24,6 +27,9 @@ import specto.pseudospectrum as pseudospectrum
 from specto import StabilizerConfig
 from specto.cli import main
 from specto.rnn import TrainConfig, synthetic_digits, write_idx_images, write_idx_labels
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
@@ -458,6 +464,22 @@ class TestFailuresWriteNothing:
         assert "square" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "rect.csv", "rect.csv", "--out", "o"],
+            ["compare", "rect.csv", "rect.csv", "--out", "o", "--box", "-1", "1", "-1", "1"],
+            ["stabilize", "rect.csv", "o.pspc"],
+        ],
+    )
+    def test_non_square_input_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "rect.csv").write_text("1,2,3\n4,5,6\n")
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("specto: input error:") and err.count("\n") == 1 and "square" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["rect.csv"]
+
     @pytest.mark.parametrize("command", ["analyze", "compare"])
     def test_overflowing_field(self, tmp_path, identity_csv, capsys, command):
         one, huge = tmp_path / "one.csv", tmp_path / "huge.csv"
@@ -685,6 +707,18 @@ class TestTrain:
         )
         assert code == 4
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size, epochs", [("20", "1"), ("16", "2")])
+    def test_divergence_writes_one_stderr_line(self, tmp_path, size, epochs):
+        # numpy's overflow warnings must not precede the failure line
+        argv = ["train", "--task", "adding", "--out", tmp_path / "t", "--train-size", size, "--test-size", "5",
+                "--seq-len", "5", "--epochs", epochs, "--hidden", "2", "--seed", "1", "--lr", "1e300", "--clip", "0"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "specto.cli", *map(str, argv)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 4
+        assert proc.stderr == f"specto: numerical failure: loss became inf in epoch {epochs}\n"
 
 
 class TestDeterminism:

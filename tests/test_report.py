@@ -11,7 +11,6 @@ from specto import (
     Matrix,
     auto_grid,
     build_matrix_report,
-    compare_svg,
     compute_field,
     extract_contours,
     parse_report,
@@ -179,7 +178,7 @@ class TestSvg:
         field = compute_field(w, grid, workers=1)
         eps = [0.05, 0.2, 0.6]
         contours = extract_contours(field, eps)
-        svg = portrait_svg("test-mat", field.eigenvalues, grid, contours)
+        svg = portrait_svg([("test-mat", field.eigenvalues, contours)], grid)
         return svg, field, contours
 
     def test_well_formed_and_structured(self, rng):
@@ -201,13 +200,13 @@ class TestSvg:
         grid = auto_grid(w, nx=21, ny=21)
         field = compute_field(w, grid, workers=1)
         contours = extract_contours(field, [0.3])
-        a = portrait_svg("m", field.eigenvalues, grid, contours)
-        b = portrait_svg("m", field.eigenvalues, grid, contours)
+        a = portrait_svg([("m", field.eigenvalues, contours)], grid)
+        b = portrait_svg([("m", field.eigenvalues, contours)], grid)
         assert a == b
 
     def test_name_escaped(self):
         grid = GridSpec(-2, 2, -2, 2, 5, 5)
-        svg = portrait_svg("a<b&c", np.array([0.5 + 0j]), grid, None)
+        svg = portrait_svg([("a<b&c", np.array([0.5 + 0j]), None)], grid)
         ET.fromstring(svg)  # must stay well-formed
 
     def test_compare_layout(self, rng):
@@ -215,9 +214,8 @@ class TestSvg:
         grid = auto_grid(w, nx=21, ny=21)
         field = compute_field(w, grid, workers=1)
         contours = extract_contours(field, [0.3])
-        svg = compare_svg(
-            ("before", field.eigenvalues, contours),
-            ("after", field.eigenvalues, contours),
+        svg = portrait_svg(
+            [("before", field.eigenvalues, contours), ("after", field.eigenvalues, contours)],
             grid,
         )
         root = ET.fromstring(svg)
@@ -225,3 +223,19 @@ class TestSvg:
         assert len(root.findall(f".//{ns}ellipse")) == 2  # one unit circle per panel
         titles = [t.text for t in root.findall(f".//{ns}text") if t.get("class") == "title"]
         assert titles == ["before", "after"]
+
+    def test_two_panels_in_the_single_portrait_layout(self, rng):
+        svg, field, contours = self._portrait(rng)
+        after = portrait_svg([("before", field.eigenvalues, contours), ("after", field.eigenvalues, None)], field.grid)
+        root = ET.fromstring(after)
+        ns = "{http://www.w3.org/2000/svg}"
+        assert (root.get("width"), root.get("height")) == ("1320", "720")
+        titles = [t for t in root.findall(f".//{ns}text") if t.get("class") == "title"]
+        assert [(t.text, t.get("x"), t.get("font-size")) for t in titles] == [
+            ("before", "80", "14"), ("after", "680", "14")
+        ]
+        circles = root.findall(f".//{ns}ellipse")
+        assert [e.get("id") for e in circles] == ["unit-circle", None]
+        assert len(root.findall(f".//{ns}g")) == 1  # one legend, of the first panel's levels
+        legend_texts = [t for t in root.findall(f".//{ns}text") if (t.text or "").startswith("eps")]
+        assert len(legend_texts) == len(contours.levels)

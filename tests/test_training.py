@@ -65,6 +65,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="empty"):
             train(small_cfg(), small_adding().subset(0))
 
+    def test_empty_evaluation_set(self):
+        data = small_adding(n=20)
+        with pytest.raises(ValueError, match="evaluation set is empty"):
+            train(TrainConfig(epochs=1, hidden=4), data, data.subset(0))
+
 
 class TestTrainingMechanics:
     def test_zero_learning_rate_keeps_parameters(self):
