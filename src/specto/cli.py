@@ -11,14 +11,15 @@ takes the matrices in turn. The commands make the output directory only
 once every field and report is built, so a failing command writes
 nothing, and ``train`` makes it only after its settings and data check
 out. Report and SVG outputs contain no timestamps or filesystem paths, and
-every command runs with numpy's and scipy's OpenBLAS at one thread, so
-identical flags and seeds reproduce identical bytes whatever the BLAS
-thread settings. --timing prints to stderr whether that pin took and, for
-each matrix, the seconds from the start of the shared field phase to the
-end of that matrix's report, and its evaluated grid nodes, in one format
-for every worker count, and leaves the outputs alone. An input error is a
-malformed or non-square matrix file, or a path that cannot be read or
-written.
+every command runs with numpy's OpenBLAS, which computes the SVDs and the
+Schur forms, at one thread (scipy's too where the Schur form falls back to
+scipy, ``_blas``), so identical flags and seeds reproduce identical bytes
+whatever the BLAS thread settings. --timing prints to stderr whether that
+pin took and, for each matrix, the seconds from the start of the shared
+field phase to the end of that matrix's report, and its evaluated grid
+nodes, in one format for every worker count, and leaves the outputs
+alone. An input error is a malformed or non-square matrix file, or a path
+that cannot be read or written.
 """
 
 from __future__ import annotations

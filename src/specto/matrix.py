@@ -1,8 +1,9 @@
 """Dense complex matrices and the factorizations the rest of the toolkit consumes.
 
 Everything is double precision. Real input is promoted to complex128 so the
-whole toolkit runs on a single scalar type; the heavy kernels (SVD, Schur)
-delegate to LAPACK through numpy/scipy. Each matrix is factorized at most
+whole toolkit runs on a single scalar type; the heavy kernels delegate to
+LAPACK: the SVD through numpy, the Schur form through LAPACKE's ``zgees`` in
+numpy's own OpenBLAS (``_blas``). Each matrix is factorized at most
 once: the complex Schur form (which also yields the eigenvalues) and the
 singular values are cached on the immutable instance.
 """
@@ -13,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from ._blas import complex_schur
 from .errors import NumericalError
 
 __all__ = [
@@ -136,7 +137,7 @@ def schur(m: Matrix) -> SchurFactors:
     _require_square(m, "schur")
     if m._schur is None:
         try:
-            t, q = scipy.linalg.schur(m.array, output="complex")
+            t, q = complex_schur(m.array)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"Schur decomposition failed: {exc}") from exc
         if not (np.isfinite(t).all() and np.isfinite(q).all()):

@@ -11,6 +11,7 @@ filesystem paths -- so identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -145,6 +146,7 @@ def write_contours_csv(path, contours: ContourSet) -> None:
 # ---------------------------------------------------------------------------
 
 _PORTRAIT_SIZE, _PORTRAIT_MARGIN, _PORTRAIT_GAP = 560, 80, 40  # pixels: plot square, border, between plots
+_LEGEND_GAP, _LEGEND_GLYPH = 8, 6.6  # pixels: legend to the last plot and to the edge; an 11 px monospace glyph
 _PALETTE = ("#440154", "#414487", "#2a788e", "#22a884", "#7ad151", "#fde725")
 _EIG_COLOR = "#d62728"
 
@@ -205,9 +207,9 @@ def _panel_elements(frame: _Frame, evs, contours: ContourSet | None, unit_circle
     return parts
 
 
-def _legend_elements(levels, x: float, y: float):
+def _legend_elements(labels, x: float, y: float):
     parts = ['<g class="legend">']
-    for li, level in enumerate(levels):
+    for li, label in enumerate(labels):
         color = _PALETTE[li % len(_PALETTE)]
         yy = y + 18 * li
         parts.append(
@@ -215,7 +217,7 @@ def _legend_elements(levels, x: float, y: float):
         )
         parts.append(
             f'<text x="{_px(x + 20)}" y="{_px(yy + 9)}" font-size="11" '
-            f'font-family="monospace">eps = {format(level, ".4g")}</text>'
+            f'font-family="monospace">{label}</text>'
         )
     parts.append("</g>")
     return parts
@@ -225,10 +227,15 @@ def portrait_svg(panels, grid: GridSpec) -> str:
     """Spectral portraits of ``(name, eigenvalues, contours or None)`` panels, side by side on one grid.
 
     Each panel has its title, unit circle, eigenvalues and eps contours; the
-    legend of the first panel's levels stands right of the last panel.
+    legend of the first panel's levels stands right of the last panel, in a
+    right margin wide enough for its longest label.
     """
     size, margin, gap = _PORTRAIT_SIZE, _PORTRAIT_MARGIN, _PORTRAIT_GAP
-    width = len(panels) * (size + gap) - gap + 2 * margin
+    levels = [] if panels[0][2] is None else panels[0][2].levels
+    legend = [f"eps = {format(level, '.4g')}" for level in levels]
+    text = _LEGEND_GLYPH * max(map(len, legend), default=0)  # the longest label, estimated
+    right = max(margin, math.ceil(_LEGEND_GAP + 20 + text + _LEGEND_GAP))  # swatch, text, gap
+    width = len(panels) * (size + gap) - gap + margin + right
     height = size + 2 * margin
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -244,7 +251,7 @@ def portrait_svg(panels, grid: GridSpec) -> str:
         frame = _Frame(grid, x0, margin, size, size)
         parts += _panel_elements(frame, evs, contours, unit_circle_id="unit-circle" if k == 0 else None)
     if panels[0][2] is not None:
-        parts += _legend_elements(panels[0][2].levels, x0 + size + 8, margin)
+        parts += _legend_elements(legend, x0 + size + _LEGEND_GAP, margin)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -57,20 +57,33 @@ class Dataset:
         return Dataset(self.inputs[:n], self.targets[:n], self.task)
 
 
+_CHUNK = 1 << 16  # random draws per chunk of rows: the temporaries stay small beside the dataset
+
+
 def generate_adding(n: int, seq_len: int, seed: int = 0) -> Dataset:
-    """n sequences of the adding task, deterministic per seed."""
+    """n sequences of the adding task, deterministic per seed.
+
+    One stream gives the n x seq_len values, then n x seq_len keys per row
+    whose two smallest place the markers; each is drawn into the output in
+    chunks of rows, so no full-size temporary is held beside it.
+    """
     if seq_len < 2:
         raise ValueError("seq_len must be >= 2 to place two markers")
     rng = np.random.default_rng(seed)
-    values = rng.uniform(0.0, 1.0, (n, seq_len))
-    # first two columns of a random permutation per row: distinct positions
-    positions = np.argsort(rng.random((n, seq_len)), axis=1)[:, :2]
-    markers = np.zeros((n, seq_len))
-    rows = np.arange(n)
-    markers[rows, positions[:, 0]] = 1.0
-    markers[rows, positions[:, 1]] = 1.0
-    targets = values[rows, positions[:, 0]] + values[rows, positions[:, 1]]
-    inputs = np.stack([values, markers], axis=2)
+    inputs = np.zeros((n, seq_len, 2))
+    targets = np.empty(n)
+    step = max(1, _CHUNK // seq_len)
+    for s in range(0, n, step):
+        values = inputs[s : s + step, :, 0]
+        values[...] = rng.uniform(0.0, 1.0, values.shape)
+    for s in range(0, n, step):
+        chunk = inputs[s : s + step]
+        rows = np.arange(chunk.shape[0])
+        # first two columns of a random permutation per row: distinct positions
+        first, second = np.argsort(rng.random(chunk.shape[:2]), axis=1)[:, :2].T
+        chunk[rows, first, 1] = 1.0
+        chunk[rows, second, 1] = 1.0
+        targets[s : s + step] = chunk[rows, first, 0] + chunk[rows, second, 0]
     return Dataset(inputs, targets, "adding")
 
 
@@ -111,7 +124,8 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
         raise FormatError(
             f"image/label count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
         )
-    inputs = images.astype(np.float64) / 255.0
+    inputs = images.astype(np.float64)
+    inputs /= 255.0
     return Dataset(inputs, labels.astype(np.int64), "mnist")
 
 

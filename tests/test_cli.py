@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +22,7 @@ from specto import (
     write_matrix_file,
 )
 import specto.cli as cli
+import specto.matrix as matrix
 import specto.pseudospectrum as pseudospectrum
 from specto import StabilizerConfig
 from specto.cli import main
@@ -752,7 +752,7 @@ class TestFactorizationCounts:
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = {"schur": 0, "svd": 0, "eigvals": 0}
-        schur, svd, eigvals = scipy.linalg.schur, np.linalg.svd, np.linalg.eigvals
+        schur, svd, eigvals = matrix.complex_schur, np.linalg.svd, np.linalg.eigvals
 
         def counting_schur(*args, **kwargs):
             calls["schur"] += 1
@@ -767,7 +767,7 @@ class TestFactorizationCounts:
             calls["eigvals"] += 1
             return eigvals(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+        monkeypatch.setattr(matrix, "complex_schur", counting_schur)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
         return calls

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,54 @@ class TestSyntheticDigitsReference:
         want_images, want_labels = _reference_digits(60, seed, size)
         assert np.array_equal(labels, want_labels)
         assert images.tobytes() == want_images.tobytes()
+
+
+def _reference_adding(n, seq_len, seed):
+    """generate_adding with every stream drawn whole, as it was first written."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 1.0, (n, seq_len))
+    positions = np.argsort(rng.random((n, seq_len)), axis=1)[:, :2]
+    markers = np.zeros((n, seq_len))
+    rows = np.arange(n)
+    markers[rows, positions[:, 0]] = 1.0
+    markers[rows, positions[:, 1]] = 1.0
+    targets = values[rows, positions[:, 0]] + values[rows, positions[:, 1]]
+    return np.stack([values, markers], axis=2), targets
+
+
+class TestAddingReference:
+    @pytest.mark.parametrize(
+        "n, seq_len, seed",
+        [(1, 2, 0), (7, 3, 5), (500, 20, 1), (1400, 50, 901), (3000, 784, 3), (20000, 50, 0)],
+    )
+    def test_matches_the_whole_stream_generator_bitwise(self, n, seq_len, seed):
+        ds = generate_adding(n, seq_len, seed)
+        inputs, targets = _reference_adding(n, seq_len, seed)
+        assert ds.inputs.shape == inputs.shape and ds.inputs.dtype == inputs.dtype
+        assert ds.inputs.tobytes() == inputs.tobytes()
+        assert ds.targets.tobytes() == targets.tobytes()
+
+    def test_peak_memory_is_near_the_dataset(self):
+        tracemalloc.start()
+        try:
+            ds = generate_adding(20000, 50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (ds.inputs.nbytes + ds.targets.nbytes)
+
+
+class TestMnistReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_in_place_scaling_matches_the_division_bitwise(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        images = rng.integers(0, 256, (40, 28, 28)).astype(np.uint8)
+        images[0] = np.arange(256).repeat(4)[: 28 * 28].reshape(28, 28)  # every byte value
+        labels = rng.integers(0, 10, 40).astype(np.uint8)
+        write_idx_images(tmp_path / "i.idx", images)
+        write_idx_labels(tmp_path / "l.idx", labels)
+        ds = load_mnist_idx(tmp_path / "i.idx", tmp_path / "l.idx")
+        assert ds.inputs.tobytes() == (images.astype(np.float64) / 255.0).tobytes()
 
 
 class TestDatasetContainer:

@@ -224,12 +224,27 @@ class TestSvg:
         titles = [t.text for t in root.findall(f".//{ns}text") if t.get("class") == "title"]
         assert titles == ["before", "after"]
 
+    @pytest.mark.parametrize("panels", [1, 2])
+    @pytest.mark.parametrize("eps", [[0.5], [0.001, 0.01, 0.1], [1.25e-07, 0.003162, 0.3], [1234567.0]])
+    def test_every_legend_label_lies_inside_the_image(self, rng, panels, eps):
+        w = random_matrix(rng, 3, complex_entries=False)
+        grid = auto_grid(w, nx=21, ny=21)
+        field = compute_field(w, grid, workers=1)
+        contours = extract_contours(field, eps)
+        root = ET.fromstring(portrait_svg([(f"m{k}", field.eigenvalues, contours) for k in range(panels)], grid))
+        ns = "{http://www.w3.org/2000/svg}"
+        legend = root.find(f"{ns}g[@class='legend']").findall(f"{ns}text")
+        assert [t.text for t in legend] == [f"eps = {format(e, '.4g')}" for e in eps]
+        for t in legend:
+            assert float(t.get("x")) + 6.6 * len(t.text) <= float(root.get("width"))
+
     def test_two_panels_in_the_single_portrait_layout(self, rng):
         svg, field, contours = self._portrait(rng)
         after = portrait_svg([("before", field.eigenvalues, contours), ("after", field.eigenvalues, None)], field.grid)
         root = ET.fromstring(after)
         ns = "{http://www.w3.org/2000/svg}"
-        assert (root.get("width"), root.get("height")) == ("1320", "720")
+        # right margin: legend swatch and text (28 px), "eps = 0.05" at 6.6 px a glyph, 8 px to the edge
+        assert (root.get("width"), root.get("height")) == ("1342", "720")
         titles = [t for t in root.findall(f".//{ns}text") if t.get("class") == "title"]
         assert [(t.text, t.get("x"), t.get("font-size")) for t in titles] == [
             ("before", "80", "14"), ("after", "680", "14")
