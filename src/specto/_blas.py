@@ -4,7 +4,7 @@ A threaded OpenBLAS splits an SVD or a Schur reduction by its thread count,
 which moves the last bits of the result: at n = 128 the same matrix has a
 different 2-norm and Henrici number under OPENBLAS_NUM_THREADS=1 and 2.
 Inside ``with one_thread:`` every library found runs on one thread, whatever
-the environment set. The numpy wheel keeps its OpenBLAS in ``numpy.libs/``;
+count it started with. The numpy wheel keeps its OpenBLAS in ``numpy.libs/``;
 that library exports a getter and a setter of its thread count and LAPACKE's
 ``zgees``, which ``complex_schur`` calls, so no command imports scipy. Where
 numpy's library has no ``zgees`` (an Accelerate or MKL build of numpy, say),

@@ -2,24 +2,25 @@
 
 Exit codes: 0 success, 2 usage error, 3 input error, 4 numerical
 failure. ``analyze`` and ``compare`` compute the fields of all their
-matrices at once, on one pool of SVD workers per command; --workers, else
-SPECTO_THREADS, sizes that pool (default: machine parallelism), and a
-count below 1 or a non-integer one is a usage error. The pool is the only
-thread started, so --workers 1 runs one SVD thread beside the main thread,
-which computes every bracket and raises the first error it meets as it
-takes the matrices in turn. The commands make the output directory only
-once every field and report is built, so a failing command writes
-nothing, and ``train`` makes it only after its settings and data check
-out. Report and SVG outputs contain no timestamps or filesystem paths, and
-every command runs with numpy's OpenBLAS, which computes the SVDs and the
-Schur forms, at one thread (scipy's too where the Schur form falls back to
-scipy, ``_blas``), so identical flags and seeds reproduce identical bytes
-whatever the BLAS thread settings. --timing prints to stderr whether that
-pin took and, for each matrix, the seconds from the start of the shared
-field phase to the end of that matrix's report, and its evaluated grid
-nodes, in one format for every worker count, and leaves the outputs
-alone. An input error is a malformed or non-square matrix file, or a path
-that cannot be read or written.
+matrices at once, on one pool of SVD workers per command; --workers sizes
+that pool (default: machine parallelism), and a count below 1 is a usage
+error. The pool is the only thread started, so --workers 1 runs one SVD
+thread beside the main thread, which computes every bracket and raises
+the first error it meets as it takes the matrices in turn. Each command
+makes its output directory at its first write: ``analyze`` and
+``compare`` once every field and report is built, so a failing one writes
+nothing, and ``train`` with its first gate snapshot (its final gates
+under --snapshot-every 0), so a run that fails before then writes nothing
+either. Report and SVG outputs contain no timestamps or filesystem paths,
+and every command runs with numpy's OpenBLAS, which computes the SVDs and
+the Schur forms, at one thread (scipy's too where the Schur form falls
+back to scipy, ``_blas``), so identical flags and seeds reproduce
+identical bytes whatever the BLAS thread settings. --timing prints to
+stderr whether that pin took and, for each matrix, the seconds from the
+start of the shared field phase to the end of that matrix's report, and
+its evaluated grid nodes, in one format for every worker count, and
+leaves the outputs alone. An input error is a malformed or non-square
+matrix file, or a path that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -112,9 +113,7 @@ def _grid_flags(sub):
         help="explicit grid bounds (overrides the automatic box)",
     )
     sub.add_argument("--eps", help="comma-separated pseudospectrum levels (default: 6 log-spaced)")
-    sub.add_argument(
-        "--workers", type=int, help="SVD workers shared by all matrices (default: SPECTO_THREADS or cpu count)"
-    )
+    sub.add_argument("--workers", type=int, help="SVD workers shared by all matrices (default: cpu count)")
 
 
 def _load_square(path):
@@ -235,8 +234,6 @@ def _history_csv(history, gates) -> str:
 
 
 def cmd_train(args) -> int:
-    if not args.clip >= 0.0:
-        raise ValueError(f"--clip must be >= 0 (0 disables clipping), got {args.clip!r}")
     if args.snapshot_every < 0:
         raise ValueError(f"--snapshot-every must be >= 0 (0 disables snapshots), got {args.snapshot_every}")
     cfg = TrainConfig(
@@ -246,7 +243,7 @@ def cmd_train(args) -> int:
         epochs=args.epochs,
         learning_rate=args.lr,
         seed=args.seed,
-        grad_clip=args.clip if args.clip > 0 else None,
+        grad_clip=args.clip,
         stabilize=args.stabilize,
         memory_bias=args.memory_bias,
         target_accuracy=args.target_accuracy,
@@ -273,9 +270,9 @@ def cmd_train(args) -> int:
                 f"{len(train_ds)} training and {len(eval_ds)} evaluation images"
             )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_gates(cell, tag):
+        out_dir.mkdir(parents=True, exist_ok=True)
         for gate in cell.gates:
             write_matrix_file(
                 out_dir / f"weights-{tag}-{gate}.pspc", Matrix(cell.w_rec[gate]), f"{cfg.kind}-{gate}"
@@ -299,8 +296,8 @@ def cmd_train(args) -> int:
             )
 
     cell, history = train(cfg, train_ds, eval_ds, on_epoch=snapshot)
-    (out_dir / "history.csv").write_text(_history_csv(history, cell.gates), encoding="utf-8")
     write_gates(cell, "final")
+    (out_dir / "history.csv").write_text(_history_csv(history, cell.gates), encoding="utf-8")
     final = history[-1]
     print(f"final accuracy {final.accuracy:.4f} after {final.epoch} epochs")
     return 0

@@ -58,16 +58,12 @@ DEFAULT_GRID_PAD = 0.5
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else SPECTO_THREADS, else cpu count; ValueError below 1."""
-    source, value = "workers", workers
+    """Worker count: ``workers``, else the cpu count; ValueError unless an integer >= 1."""
     if workers is None:
-        source, value = "SPECTO_THREADS", os.environ.get("SPECTO_THREADS")
-        if not value:
-            return os.cpu_count() or 1
-    count = int(value) if str(value).strip().isdecimal() else 0
-    if count < 1:
-        raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
-    return count
+        return os.cpu_count() or 1
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    return workers
 
 
 @dataclass(frozen=True)

