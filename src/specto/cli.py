@@ -11,15 +11,16 @@ makes its output directory at its first write: ``analyze`` and
 ``compare`` once every field and report is built, so a failing one writes
 nothing, and ``train`` with its first gate snapshot (its final gates
 under --snapshot-every 0), so a run that fails before then writes nothing
-either. Report and SVG outputs contain no timestamps or filesystem paths,
-and every command runs with numpy's OpenBLAS, which computes the SVDs and
-the Schur forms, at one thread (scipy's too where the Schur form falls
-back to scipy, ``_blas``), so identical flags and seeds reproduce
-identical bytes whatever the BLAS thread settings. --timing prints to
-stderr whether that pin took and, for each matrix, the seconds from the
-start of the shared field phase to the end of that matrix's report, and
-its evaluated grid nodes, in one format for every worker count, and
-leaves the outputs alone. An input error is a malformed or non-square
+either; ``train`` checks before its first epoch that --out is a directory
+or can become one. Report and SVG outputs contain no timestamps or
+filesystem paths, and every command runs with numpy's OpenBLAS, which
+computes the SVDs and the Schur forms, at one thread (scipy's too where
+the Schur form falls back to scipy, ``_blas``), so identical flags and
+seeds reproduce identical bytes whatever the BLAS thread settings.
+--timing prints to stderr whether that pin took and, for each matrix, the
+seconds from the start of the shared field phase to the end of that
+matrix's report, and its evaluated grid nodes, in one format for every
+worker count, and leaves the outputs alone. An input error is a malformed or non-square
 matrix file, or a path that cannot be read or written.
 """
 
@@ -27,7 +28,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import math
+import os
 import re
 import sys
 import time
@@ -233,6 +236,15 @@ def _history_csv(history, gates) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_out_dir(path: Path) -> None:
+    """Fail as ``mkdir`` would if ``path`` or its nearest existing ancestor is not a directory; makes nothing."""
+    for p in (path, *path.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(p))
+            return
+
+
 def cmd_train(args) -> int:
     if args.snapshot_every < 0:
         raise ValueError(f"--snapshot-every must be >= 0 (0 disables snapshots), got {args.snapshot_every}")
@@ -270,6 +282,7 @@ def cmd_train(args) -> int:
                 f"{len(train_ds)} training and {len(eval_ds)} evaluation images"
             )
     out_dir = Path(args.out)
+    _check_out_dir(out_dir)
 
     def write_gates(cell, tag):
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -39,10 +39,16 @@ __all__ = [
 ]
 
 # Nodes per SVD batch are capped so a chunk of shifted matrices stays within
-# a fixed memory budget (2 MiB of complex scalars); the chunking is independent
-# of the worker count, which keeps results bitwise identical under any parallel
-# schedule.
-_CHUNK_SCALARS = 1 << 17
+# a fixed memory budget (512 KiB of complex scalars, 32 shifted 32x32 gates).
+# The budget sets the peak RSS of a process that trains and then analyzes:
+# each pool thread allocates its chunks from its own malloc arena, and once
+# training has freed its dataset glibc's raised mmap threshold keeps them on
+# the heap, so each thread's largest chunk stays resident on top of the
+# training's peak; 2 MiB chunks peaked ~6 MB higher. One SVD thread takes the
+# same time per node at either size, as the cost is LAPACK's per-matrix call.
+# The chunking is independent of the worker count, which keeps results
+# bitwise identical under any parallel schedule.
+_CHUNK_SCALARS = 1 << 15
 
 # Rounding margin of the Lipschitz brackets, relative to ||W||_F + max|node|.
 # A computed singular value of W - lambda*I is off by a small multiple of

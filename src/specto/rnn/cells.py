@@ -403,11 +403,15 @@ def batch_loss_and_grads(cell: CellParams, inputs: np.ndarray, targets: np.ndarr
     return value, grads
 
 
-# Doubles in the buffers of one forward pass in `predictions` (4 MiB). A larger
-# block, once freed, raises glibc's dynamic mmap threshold, and the heap then
-# keeps later large temporaries resident: a GRU train followed by analyze in
-# one process peaked 18 MB higher at 512 sequences per pass (19.7 MB buffers).
-_EVAL_SCALARS = 1 << 19
+# Doubles in the buffers of one forward pass in `predictions` (2 MiB, 30
+# default GRU sequences at T=50). The budget sets the peak RSS of a process
+# that trains and then analyzes: a freed block raises glibc's dynamic mmap
+# threshold, and the heap then keeps later large temporaries resident on top
+# of the training's peak. 512 sequences per pass (19.7 MB buffers) peaked
+# 18 MB higher than 4 MiB passes, and 4 MiB ~4 MB higher than 2 MiB, which
+# moves an evaluation of the 1,000 default test sequences by -9 ms (rnn) to
+# +18 ms (lstm), against epochs of seconds.
+_EVAL_SCALARS = 1 << 18
 
 
 def predictions(cell: CellParams, inputs: np.ndarray) -> np.ndarray:

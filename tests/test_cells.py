@@ -464,8 +464,8 @@ class TestPredictions:
         logits = predictions(cell, data.inputs)
         assert sum(sizes) == 600 and len(sizes) > 1
         # doubles per sequence: (T, gates*hidden) activations, (T+1, hidden+input+1)
-        # operand and the candidate's (T, hidden+input+1) operand; 4 MiB in all
-        assert max(sizes) * (50 * 3 * 32 + 51 * 35 + 50 * 35) <= 1 << 19
+        # operand and the candidate's (T, hidden+input+1) operand; 2 MiB in all
+        assert max(sizes) * (50 * 3 * 32 + 51 * 35 + 50 * 35) <= 1 << 18
         assert_scaled_close(logits, whole)
 
 

@@ -542,6 +542,19 @@ class TestFailuresWriteNothing:
         assert sorted(tmp_path.rglob("*")) == before
         assert (tmp_path / "F").read_text() == "a file\n"
 
+    @pytest.mark.parametrize("out", ["F", "F/sub"])
+    def test_train_unusable_out_fails_before_training(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "F").write_text("a file\n")
+        argv = ["train", "--task", "adding", "--out", out, "--train-size", "64", "--test-size", "8",
+                "--seq-len", "5", "--epochs", "3", "--hidden", "2", "--snapshot-every", "0"]
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("specto: input error:") and captured.err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["F"]
+        assert (tmp_path / "F").read_text() == "a file\n"
+
 
 class TestTrain:
     def test_tiny_adding_run(self, tmp_path, capsys):

@@ -328,8 +328,30 @@ class TestCertifiedField:
         monkeypatch.setattr(pseudospectrum, "_sigma_min_stack", recording)
         w = random_matrix(rng, 32, scale=0.2)
         f = compute_field(w, auto_grid(w, nx=45, ny=45), (1e-2, 0.1), workers=2)
-        assert len(calls) > 2 and max(calls) <= 1 << 17
+        assert len(calls) > 2 and max(calls) <= 1 << 15
         assert sum(calls) == int(f.exact.sum()) * 32 * 32
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_fields_do_not_depend_on_the_chunk_budget(self, monkeypatch, rng, complex_entries):
+        # the batched SVD factors each shifted matrix on its own, so the chunk size is invisible
+        w = random_matrix(rng, 32, complex_entries=complex_entries, scale=0.2)
+        grid = auto_grid(w, nx=45, ny=45)
+        stack, fields, sizes = pseudospectrum._sigma_min_stack, [], {}
+
+        def recording(a, lams):
+            sizes.setdefault(pseudospectrum._CHUNK_SCALARS, []).append(lams.size)
+            return stack(a, lams)
+
+        monkeypatch.setattr(pseudospectrum, "_sigma_min_stack", recording)
+        budgets = (1 << 17, 1 << 15, 1 << 11)
+        for budget in budgets:
+            monkeypatch.setattr(pseudospectrum, "_CHUNK_SCALARS", budget)
+            fields.append(compute_field(w, grid, (1e-2, 0.1), workers=2))
+        assert [max(sizes[b]) for b in budgets] == [128, 32, 2]
+        for f in fields[1:]:
+            assert np.array_equal(f.values, fields[0].values)
+            assert np.array_equal(f.exact, fields[0].exact)
+            assert f.evaluated == fields[0].evaluated
 
     def test_a_fifth_of_the_nodes_of_a_real_gate_are_evaluated(self, monkeypatch):
         for seed in range(5):
