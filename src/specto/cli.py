@@ -60,7 +60,7 @@ from .report import (
     serialize_report,
     write_contours_csv,
 )
-from .rnn import KINDS, TASKS, Dataset, TrainConfig, adding_splits, load_mnist_idx, train
+from .rnn import KINDS, TASKS, TrainConfig, adding_splits, load_mnist_idx, train
 from .stabilizer import StabilizerConfig, stabilize
 
 DEFAULT_EPS_LEVELS = tuple(10.0 ** (-3 + 0.5 * k) for k in range(6))
@@ -270,12 +270,11 @@ def cmd_train(args) -> int:
             raise ValueError("--mnist-test-images and --mnist-test-labels go together: give both or neither")
         if args.train_size < 1 or args.test_size < 1:
             raise ValueError(f"train and test sizes must be positive, got {args.train_size} and {args.test_size}")
-        full = load_mnist_idx(args.mnist_images, args.mnist_labels)
+        # evaluate on the images the training split leaves over, unless a test pair is given
+        train_ds, held_out = load_mnist_idx(args.mnist_images, args.mnist_labels).split(args.train_size)
         if args.mnist_test_images is not None:
             held_out = load_mnist_idx(args.mnist_test_images, args.mnist_test_labels)
-        else:  # evaluate on the images the training split leaves over
-            held_out = Dataset(full.inputs[args.train_size :], full.targets[args.train_size :], full.task)
-        train_ds, eval_ds = full.subset(args.train_size), held_out.subset(args.test_size)
+        eval_ds = held_out.subset(args.test_size)
         if len(train_ds) == 0 or len(eval_ds) == 0:
             raise ValueError(
                 f"--train-size {args.train_size} and --test-size {args.test_size} leave "

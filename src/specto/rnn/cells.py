@@ -404,34 +404,39 @@ def batch_loss_and_grads(cell: CellParams, inputs: np.ndarray, targets: np.ndarr
 
 
 # Doubles in the buffers of one forward pass in `predictions` (2 MiB, 30
-# default GRU sequences at T=50). The budget sets the peak RSS of a process
-# that trains and then analyzes: a freed block raises glibc's dynamic mmap
-# threshold, and the heap then keeps later large temporaries resident on top
-# of the training's peak. 512 sequences per pass (19.7 MB buffers) peaked
-# 18 MB higher than 4 MiB passes, and 4 MiB ~4 MB higher than 2 MiB, which
-# moves an evaluation of the 1,000 default test sequences by -9 ms (rnn) to
-# +18 ms (lstm), against epochs of seconds.
+# default GRU sequences at T=50); a pass's float64 batch and its logits are
+# the only other arrays it holds, and only one pass is alive at a time. The
+# budget sets the peak RSS of a process that trains and then analyzes: a
+# freed block raises glibc's dynamic mmap threshold, and the heap then keeps
+# later large temporaries resident on top of the training's peak. 512
+# sequences per pass (19.7 MB buffers) peaked 18 MB higher than 4 MiB
+# passes, and 4 MiB ~4 MB higher than 2 MiB, which moves an evaluation of
+# the 1,000 default test sequences by -9 ms (rnn) to +18 ms (lstm), against
+# epochs of seconds.
 _EVAL_SCALARS = 1 << 18
 
 
-def predictions(cell: CellParams, inputs: np.ndarray) -> np.ndarray:
-    """Readout logits for many sequences, evaluated in memory-bounded chunks."""
+def predictions(cell: CellParams, data) -> np.ndarray:
+    """Readout logits of every sequence of the ``Dataset`` ``data``, in memory-bounded passes.
+
+    Each pass builds its float64 inputs with ``data.batch`` and keeps only
+    the logits of its forward pass, so one pass's buffers are alive at a time.
+    """
     # Per sequence and step a pass holds G*hidden gate activations (the RNN:
     # its states) and an operand column of hidden+input+1, plus the GRU's
     # second operand or the LSTM's cell state, over at most T+1 slots.
-    steps = inputs.shape[1]
+    steps = data.inputs.shape[1]
     width = cell.hidden + cell.input_dim + 1
     chunk = max(1, _EVAL_SCALARS // ((steps + 1) * (len(cell.gates) * cell.hidden + 2 * width)))
     outs = []
-    for lo in range(0, inputs.shape[0], chunk):
-        _, logits, _ = forward_batch(cell, inputs[lo : lo + chunk])
-        outs.append(logits)
+    for lo in range(0, len(data), chunk):
+        outs.append(forward_batch(cell, data.batch(slice(lo, lo + chunk)))[1])
     return np.concatenate(outs, axis=0)
 
 
 def accuracy(cell: CellParams, data) -> float:
     """Fraction correct for ``data.task``: |prediction - target| <= 0.04 (adding) or argmax (mnist)."""
-    logits = predictions(cell, data.inputs)
+    logits = predictions(cell, data)
     if data.task == "adding":
         return float(np.mean(np.abs(logits[:, 0] - data.targets) <= _ADDING_TOL))
     return float(np.mean(np.argmax(logits, axis=1) == data.targets))

@@ -1,10 +1,16 @@
 """Task data: the two-number adding benchmark and IDX-format image sequences.
 
-Adding sequences carry two channels per step: channel 0 holds uniform[0,1]
-values, channel 1 is a marker that is 1 at exactly two distinct positions.
-The target is the sum of the two marked values. Image classification data
-is read from IDX files (big-endian magic/dim headers); every image row
-becomes one time step.
+A ``Dataset`` keeps each task's data as its source gives it, and builds the
+float64 ``(rows, time, dim)`` arrays the cells take one batch at a time, so
+no float64 copy of a whole split is ever held:
+
+* adding -- the uniform[0,1] values as float64 ``(n, time, 1)`` and the two
+  marked steps of each sequence as integers ``(n, 2)``. A batch has two
+  channels per step: the value, and a marker that is 1 at exactly the two
+  marked steps. The target is the sum of the two marked values.
+* mnist -- the uint8 pixels of the IDX file ``(n, rows, cols)``, which a
+  batch scales to [0,1]; every image row becomes one time step. Labels are
+  the digit classes 0-9.
 """
 
 from __future__ import annotations
@@ -36,25 +42,70 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass(frozen=True)
 class Dataset:
-    """Sequences (n, time, dim) with one target per sequence, for one of ``TASKS``."""
+    """Sequences with one target per sequence, for one of ``TASKS``.
+
+    ``inputs`` is (n, time, dim) in its source precision: float64 values,
+    or uint8 pixels. ``markers``, when given, is (n, 2) integer time steps
+    per sequence. ``batch`` builds the float64 arrays the cells take.
+    """
 
     inputs: np.ndarray
     targets: np.ndarray
     task: str
+    markers: np.ndarray | None = None
 
     def __post_init__(self):
         if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         if self.inputs.ndim != 3:
             raise ValueError(f"inputs must be (n, time, dim), got {self.inputs.shape}")
-        if self.targets.shape != (self.inputs.shape[0],):
+        n, steps = self.inputs.shape[:2]
+        if self.targets.shape != (n,):
             raise ValueError("one target per sequence required")
+        if self.markers is not None:
+            if self.markers.shape != (n, 2) or self.markers.dtype.kind not in "iu":
+                raise ValueError(
+                    f"markers must be (n, 2) integer time steps, got {self.markers.shape} {self.markers.dtype}"
+                )
+            if n and not (self.markers.min() >= 0 and self.markers.max() < steps):
+                raise ValueError(f"markers must lie within the {steps} time steps")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
+    @property
+    def input_dim(self) -> int:
+        """Channels per step of a ``batch``: the stored ones, plus the marker channel."""
+        return self.inputs.shape[2] + (self.markers is not None)
+
+    def batch(self, rows) -> np.ndarray:
+        """Float64 (len(rows), time, input_dim) of the sequences ``rows`` (an index array or a slice).
+
+        The stored channels come first, uint8 ones divided by 255; with
+        ``markers`` a last channel is 1.0 at each sequence's two marked
+        steps and 0 elsewhere. The array is fresh: it shares no memory with
+        the dataset.
+        """
+        stored = self.inputs[rows]
+        out = np.zeros(stored.shape[:2] + (self.input_dim,))
+        values = out[..., : stored.shape[2]]
+        values[...] = stored
+        if stored.dtype == np.uint8:
+            values /= 255.0
+        if self.markers is not None:
+            out[np.arange(out.shape[0])[:, None], self.markers[rows], -1] = 1.0
+        return out
+
+    def split(self, n: int) -> tuple["Dataset", "Dataset"]:
+        """The first ``n`` sequences and the rest, as views of this dataset's storage."""
+        return self._rows(slice(None, n)), self._rows(slice(n, None))
+
     def subset(self, n: int) -> "Dataset":
-        return Dataset(self.inputs[:n], self.targets[:n], self.task)
+        return self._rows(slice(None, n))
+
+    def _rows(self, rows: slice) -> "Dataset":
+        markers = None if self.markers is None else self.markers[rows]
+        return Dataset(self.inputs[rows], self.targets[rows], self.task, markers)
 
 
 _CHUNK = 1 << 16  # random draws per chunk of rows: the temporaries stay small beside the dataset
@@ -70,32 +121,28 @@ def generate_adding(n: int, seq_len: int, seed: int = 0) -> Dataset:
     if seq_len < 2:
         raise ValueError("seq_len must be >= 2 to place two markers")
     rng = np.random.default_rng(seed)
-    inputs = np.zeros((n, seq_len, 2))
+    values = np.empty((n, seq_len))
+    markers = np.empty((n, 2), dtype=np.intp)
     targets = np.empty(n)
     step = max(1, _CHUNK // seq_len)
     for s in range(0, n, step):
-        values = inputs[s : s + step, :, 0]
-        values[...] = rng.uniform(0.0, 1.0, values.shape)
+        chunk = values[s : s + step]
+        chunk[...] = rng.uniform(0.0, 1.0, chunk.shape)
     for s in range(0, n, step):
-        chunk = inputs[s : s + step]
+        chunk = values[s : s + step]
         rows = np.arange(chunk.shape[0])
         # first two columns of a random permutation per row: distinct positions
-        first, second = np.argsort(rng.random(chunk.shape[:2]), axis=1)[:, :2].T
-        chunk[rows, first, 1] = 1.0
-        chunk[rows, second, 1] = 1.0
-        targets[s : s + step] = chunk[rows, first, 0] + chunk[rows, second, 0]
-    return Dataset(inputs, targets, "adding")
+        picked = markers[s : s + step]
+        picked[...] = np.argsort(rng.random(chunk.shape), axis=1)[:, :2]
+        targets[s : s + step] = chunk[rows, picked[:, 0]] + chunk[rows, picked[:, 1]]
+    return Dataset(values[:, :, None], targets, "adding", markers)
 
 
 def adding_splits(n_train: int, n_test: int, seq_len: int, seed: int = 0) -> tuple[Dataset, Dataset]:
     """Train/test split drawn from one stream (paper-scale: 45000/5000)."""
     if n_train < 1 or n_test < 1:
         raise ValueError(f"train and test sizes must be positive, got {n_train} and {n_test}")
-    full = generate_adding(n_train + n_test, seq_len, seed)
-    return (
-        Dataset(full.inputs[:n_train], full.targets[:n_train], "adding"),
-        Dataset(full.inputs[n_train:], full.targets[n_train:], "adding"),
-    )
+    return generate_adding(n_train + n_test, seq_len, seed).split(n_train)
 
 
 def _read_idx(path, expected_magic: int, ndim: int) -> np.ndarray:
@@ -117,16 +164,21 @@ def _read_idx(path, expected_magic: int, ndim: int) -> np.ndarray:
 
 
 def load_mnist_idx(images_path, labels_path) -> Dataset:
-    """IDX image/label pair -> sequences of image rows, pixels scaled to [0,1]."""
+    """IDX image/label pair -> sequences of image rows, kept as the file's uint8 pixels.
+
+    A label outside the ten digit classes is a FormatError naming its byte offset.
+    """
     images = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if images.shape[0] != labels.shape[0]:
         raise FormatError(
             f"image/label count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
         )
-    inputs = images.astype(np.float64)
-    inputs /= 255.0
-    return Dataset(inputs, labels.astype(np.int64), "mnist")
+    bad = np.flatnonzero(labels > 9)
+    if bad.size:
+        k = int(bad[0])  # its byte follows the 8-byte header: magic and count
+        raise FormatError(f"{labels_path}: label {labels[k]} at offset {8 + k} is not a digit class 0-9")
+    return Dataset(images, labels.astype(np.int64), "mnist")
 
 
 def write_idx_images(path, images: np.ndarray) -> None:

@@ -99,15 +99,17 @@ def train(
 
     Deterministic for a fixed config: one RNG stream drives init and the
     epoch shuffles. The task is ``train_data.task``; accuracy is measured on
-    ``eval_data``, which must have the same task.
+    ``eval_data``, which must have the same task. Each minibatch is built
+    with ``train_data.batch`` as it is used, and each evaluation pass with
+    ``eval_data.batch``, so the float64 arrays held at once are one batch's.
     ``on_epoch(cell, record)`` runs after each epoch (snapshot hook). A
     non-finite loss aborts with TrainingDiverged.
     """
     task = train_data.task
     if eval_data.task != task:
         raise ValueError(f"evaluation data task {eval_data.task!r} does not match training data task {task!r}")
-    inputs, targets = train_data.inputs, train_data.targets
-    n = inputs.shape[0]
+    targets = train_data.targets
+    n = len(train_data)
     if n == 0:
         raise ValueError("training set is empty")
     if len(eval_data) == 0:
@@ -116,7 +118,7 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     cell = init_cell(
         cfg.kind,
-        input_dim=inputs.shape[2],
+        input_dim=train_data.input_dim,
         hidden=cfg.hidden,
         output_dim=output_dim,
         seed=rng,
@@ -129,7 +131,7 @@ def train(
         with np.errstate(over="ignore", invalid="ignore"):  # the non-finite loss check reports divergence
             for lo in range(0, n, cfg.batch):
                 idx = perm[lo : lo + cfg.batch]
-                loss_val, grads = batch_loss_and_grads(cell, inputs[idx], targets[idx], task)
+                loss_val, grads = batch_loss_and_grads(cell, train_data.batch(idx), targets[idx], task)
                 if not np.isfinite(loss_val):
                     raise TrainingDiverged(f"loss became {loss_val} in epoch {epoch}")
                 loss_sum += loss_val * len(idx)

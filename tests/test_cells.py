@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit as sigmoid
@@ -405,7 +407,7 @@ class TestAccuracy:
         cell.w_out[:] = 0.0
         # cheat: replace targets with a constant and predict it exactly
         const = np.full_like(data.targets, 0.5)
-        data = Dataset(data.inputs, const, "adding")
+        data = Dataset(data.batch(np.arange(200)), const, "adding")
         cell.b_out[:] = 0.5
         assert accuracy(cell, data) == 1.0
 
@@ -453,7 +455,7 @@ class TestPredictions:
     def test_forward_passes_stay_within_the_buffer_bound(self, monkeypatch):
         data = generate_adding(600, 50, seed=0)
         cell = init_cell("gru", 2, 32, 1, seed=0)  # the CLI's default GRU
-        _, whole, _ = forward_batch(cell, data.inputs)
+        _, whole, _ = forward_batch(cell, data.batch(np.arange(600)))
         sizes = []
 
         def recording(c, inputs):
@@ -461,12 +463,25 @@ class TestPredictions:
             return forward_batch(c, inputs)
 
         monkeypatch.setattr(cells, "forward_batch", recording)
-        logits = predictions(cell, data.inputs)
+        logits = predictions(cell, data)
         assert sum(sizes) == 600 and len(sizes) > 1
         # doubles per sequence: (T, gates*hidden) activations, (T+1, hidden+input+1)
         # operand and the candidate's (T, hidden+input+1) operand; 2 MiB in all
         assert max(sizes) * (50 * 3 * 32 + 51 * 35 + 50 * 35) <= 1 << 18
         assert_scaled_close(logits, whole)
+
+    @pytest.mark.parametrize("kind", ["rnn", "lstm", "gru"])
+    def test_one_pass_is_alive_at_a_time(self, kind):
+        # a pass's states and cache are freed before the next pass allocates
+        data = generate_adding(600, 50, seed=0)
+        cell = init_cell(kind, 2, 32, 1, seed=0)
+        tracemalloc.start()
+        try:
+            logits = predictions(cell, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * cells._EVAL_SCALARS + logits.nbytes
 
 
 class TestGateExtraction:

@@ -517,6 +517,22 @@ class TestFailuresWriteNothing:
         assert run([*argv, "--mnist-labels", tmp_path / "none2.idx"]) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", [3, 35])  # in the training split, in the evaluation split
+    def test_train_mnist_label_outside_the_classes(self, tmp_path, capsys, bad):
+        images, labels = synthetic_digits(40, seed=0)
+        labels[bad] = 12
+        ipath, lpath = tmp_path / "i.idx", tmp_path / "l.idx"
+        write_idx_images(ipath, images)
+        write_idx_labels(lpath, labels)
+        out = tmp_path / "o"
+        argv = ["train", "--task", "mnist", "--mnist-images", ipath, "--mnist-labels", lpath,
+                "--train-size", "30", "--test-size", "10", "--epochs", "1", "--out", out]
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"specto: input error: {lpath}: label 12 at offset {8 + bad} is not a digit class 0-9\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -21,7 +21,8 @@ from specto.rnn import (
 class TestAdding:
     def test_target_is_sum_of_marked(self):
         ds = generate_adding(500, 20, seed=1)
-        values, markers = ds.inputs[..., 0], ds.inputs[..., 1]
+        x = ds.batch(np.arange(500))
+        values, markers = x[..., 0], x[..., 1]
         for k in range(500):
             marked = values[k][markers[k] == 1.0]
             assert marked.size == 2
@@ -35,24 +36,25 @@ class TestAdding:
     )
     def test_marker_invariants(self, n, seq_len, seed):
         ds = generate_adding(n, seq_len, seed)
-        markers = ds.inputs[..., 1]
+        x = ds.batch(np.arange(n))
+        markers = x[..., 1]
         assert ((markers == 0.0) | (markers == 1.0)).all()
         np.testing.assert_array_equal(markers.sum(axis=1), 2.0)
         assert (ds.targets >= 0.0).all() and (ds.targets <= 2.0).all()
-        assert (ds.inputs[..., 0] >= 0.0).all() and (ds.inputs[..., 0] <= 1.0).all()
+        assert (x[..., 0] >= 0.0).all() and (x[..., 0] <= 1.0).all()
 
     def test_deterministic(self):
         a = generate_adding(50, 12, seed=42)
         b = generate_adding(50, 12, seed=42)
-        assert np.array_equal(a.inputs, b.inputs)
+        assert np.array_equal(a.batch(np.arange(50)), b.batch(np.arange(50)))
         assert np.array_equal(a.targets, b.targets)
         c = generate_adding(50, 12, seed=43)
-        assert not np.array_equal(a.inputs, c.inputs)
+        assert not np.array_equal(a.batch(np.arange(50)), c.batch(np.arange(50)))
 
     def test_split_sizes(self):
         train, test = adding_splits(450, 50, 10, seed=0)
         assert len(train) == 450 and len(test) == 50
-        assert train.inputs.shape == (450, 10, 2)
+        assert train.batch(np.arange(450)).shape == (450, 10, 2)
 
     def test_too_short_sequence(self):
         with pytest.raises(ValueError):
@@ -70,20 +72,20 @@ class TestIdx:
         images = rng.integers(0, 256, (7, 28, 28)).astype(np.uint8)
         labels = rng.integers(0, 10, 7).astype(np.uint8)
         ds = load_mnist_idx(*self._write_pair(tmp_path, images, labels))
-        assert ds.inputs.shape == (7, 28, 28)
+        assert ds.batch(np.arange(7)).shape == (7, 28, 28)
         assert ds.task == "mnist"
-        np.testing.assert_allclose(ds.inputs, images / 255.0, atol=1e-15)
+        np.testing.assert_allclose(ds.batch(np.arange(7)), images / 255.0, atol=1e-15)
         np.testing.assert_array_equal(ds.targets, labels)
 
     def test_full_byte_is_exactly_one(self, tmp_path):
         images = np.full((1, 28, 28), 255, dtype=np.uint8)
         ds = load_mnist_idx(*self._write_pair(tmp_path, images, np.zeros(1, dtype=np.uint8)))
-        assert (ds.inputs == 1.0).all()
+        assert (ds.batch(np.arange(1)) == 1.0).all()
 
     def test_zero_image_rows(self, tmp_path):
         images = np.zeros((1, 28, 28), dtype=np.uint8)
         ds = load_mnist_idx(*self._write_pair(tmp_path, images, np.zeros(1, dtype=np.uint8)))
-        np.testing.assert_array_equal(ds.inputs[0], np.zeros((28, 28)))
+        np.testing.assert_array_equal(ds.batch(np.arange(1))[0], np.zeros((28, 28)))
 
     def test_bad_magic(self, tmp_path, rng):
         ipath, lpath = self._write_pair(
@@ -123,6 +125,29 @@ class TestIdx:
         p.write_bytes(b"\x00\x00\x08")
         with pytest.raises(FormatError, match="header"):
             load_mnist_idx(p, p)
+
+    @pytest.mark.parametrize("bad", [0, 3, 38])
+    def test_label_outside_the_ten_classes(self, tmp_path, bad):
+        images, labels = synthetic_digits(40, seed=0)
+        labels[bad] = 12
+        labels[-1] = 200  # only the first bad label is named
+        ipath, lpath = self._write_pair(tmp_path, images, labels)
+        offset = 8 + bad  # the label bytes follow magic and count
+        with pytest.raises(FormatError, match=rf"lbls\.idx: label 12 at offset {offset} "):
+            load_mnist_idx(ipath, lpath)
+
+    def test_keeps_the_file_pixels(self, tmp_path):
+        images, labels = synthetic_digits(600, seed=0)
+        ipath, lpath = self._write_pair(tmp_path, images, labels)
+        tracemalloc.start()
+        try:
+            ds = load_mnist_idx(ipath, lpath)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.inputs.dtype == np.uint8 and ds.inputs.nbytes == 600 * 28 * 28
+        assert ds.inputs.tobytes() == images.tobytes()
+        assert peak <= 1.25 * ipath.stat().st_size
 
 
 class TestSyntheticDigits:
@@ -198,8 +223,9 @@ class TestAddingReference:
     def test_matches_the_whole_stream_generator_bitwise(self, n, seq_len, seed):
         ds = generate_adding(n, seq_len, seed)
         inputs, targets = _reference_adding(n, seq_len, seed)
-        assert ds.inputs.shape == inputs.shape and ds.inputs.dtype == inputs.dtype
-        assert ds.inputs.tobytes() == inputs.tobytes()
+        batch = ds.batch(np.arange(n))
+        assert batch.shape == inputs.shape and batch.dtype == inputs.dtype
+        assert batch.tobytes() == inputs.tobytes()
         assert ds.targets.tobytes() == targets.tobytes()
 
     def test_peak_memory_is_near_the_dataset(self):
@@ -209,7 +235,19 @@ class TestAddingReference:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * (ds.inputs.nbytes + ds.targets.nbytes)
+        assert peak <= 1.25 * (ds.inputs.nbytes + ds.markers.nbytes + ds.targets.nbytes)
+
+    def test_stores_values_and_marked_steps(self):
+        # float64 values, two integer steps and one target per sequence: no marker channel
+        n, steps = 20000, 50
+        tracemalloc.start()
+        try:
+            ds = generate_adding(n, steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.inputs.shape == (n, steps, 1) and ds.markers.shape == (n, 2)
+        assert peak <= 1.25 * n * (steps + 2 + 1) * 8
 
 
 class TestMnistReference:
@@ -222,7 +260,7 @@ class TestMnistReference:
         write_idx_images(tmp_path / "i.idx", images)
         write_idx_labels(tmp_path / "l.idx", labels)
         ds = load_mnist_idx(tmp_path / "i.idx", tmp_path / "l.idx")
-        assert ds.inputs.tobytes() == (images.astype(np.float64) / 255.0).tobytes()
+        assert ds.batch(np.arange(40)).tobytes() == (images.astype(np.float64) / 255.0).tobytes()
 
 
 class TestDatasetContainer:
@@ -237,3 +275,34 @@ class TestDatasetContainer:
         sub = ds.subset(4)
         assert len(sub) == 4
         assert np.array_equal(sub.inputs, ds.inputs[:4])
+
+    def test_subset_and_split_keep_the_markers(self):
+        ds = generate_adding(10, 5, seed=0)
+        whole = ds.batch(np.arange(10))
+        head, rest = ds.split(4)
+        assert (len(head), len(rest)) == (4, 6)
+        assert np.array_equal(head.batch(np.arange(4)), whole[:4])
+        assert np.array_equal(rest.batch(np.arange(6)), whole[4:])
+        assert np.array_equal(ds.subset(4).batch(np.arange(4)), whole[:4])
+
+    def test_batch_rows_in_any_order(self):
+        ds = generate_adding(30, 7, seed=2)
+        whole = ds.batch(np.arange(30))
+        rows = np.array([29, 3, 3, 0, 17])
+        assert ds.batch(rows).tobytes() == whole[rows].tobytes()
+        assert ds.batch(slice(5, 12)).tobytes() == whole[5:12].tobytes()
+
+    def test_batch_of_float_inputs_is_a_fresh_copy(self, rng):
+        inputs = rng.normal(0, 1, (6, 4, 3))
+        ds = Dataset(inputs, np.zeros(6), "mnist")
+        batch = ds.batch(slice(None))
+        assert batch.tobytes() == inputs.tobytes() and not np.shares_memory(batch, inputs)
+        assert ds.input_dim == 3 and generate_adding(3, 4).input_dim == 2
+
+    @pytest.mark.parametrize(
+        "markers",
+        [np.zeros((3, 3), dtype=np.intp), np.zeros((3, 2)), np.full((3, 2), 4), np.full((3, 2), -1)],
+    )
+    def test_marker_validation(self, markers):
+        with pytest.raises(ValueError, match="markers"):
+            Dataset(np.zeros((3, 4, 1)), np.zeros(3), "adding", markers)

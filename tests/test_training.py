@@ -59,7 +59,7 @@ class TestConfigValidation:
     def test_eval_data_task_mismatch(self):
         # accuracy scores by the data's own task, so the evaluation set must share it
         data = small_adding(n=20)
-        digits = Dataset(data.inputs, np.zeros(20), "mnist")
+        digits = Dataset(data.batch(np.arange(20)), np.zeros(20), "mnist")
         with pytest.raises(ValueError, match="task"):
             train(small_cfg(), data, digits)
 
