@@ -245,6 +245,34 @@ def _check_out_dir(path: Path) -> None:
             return
 
 
+def _mnist_splits(args):
+    """The training and evaluation splits of ``--task mnist``, each a copy of just the images it uses.
+
+    The loaded files are dropped on return, so a run holds what it trains and evaluates on,
+    not every image of the IDX files.
+    """
+    needed = (args.mnist_images, args.mnist_labels)
+    if any(p is None for p in needed):
+        raise ValueError("--task mnist requires --mnist-images and --mnist-labels")
+    if (args.mnist_test_images is None) != (args.mnist_test_labels is None):
+        raise ValueError("--mnist-test-images and --mnist-test-labels go together: give both or neither")
+    if args.train_size < 1 or args.test_size < 1:
+        raise ValueError(f"train and test sizes must be positive, got {args.train_size} and {args.test_size}")
+    # evaluate on the images the training split leaves over, unless a test pair is given
+    train_ds, held_out = load_mnist_idx(args.mnist_images, args.mnist_labels).split(args.train_size)
+    if args.mnist_test_images is not None:
+        held_out = load_mnist_idx(args.mnist_test_images, args.mnist_test_labels)
+    eval_ds = held_out.subset(args.test_size)
+    if len(train_ds) == 0 or len(eval_ds) == 0:
+        raise ValueError(
+            f"--train-size {args.train_size} and --test-size {args.test_size} leave "
+            f"{len(train_ds)} training and {len(eval_ds)} evaluation images"
+        )
+    return tuple(
+        dataclasses.replace(ds, inputs=ds.inputs.copy(), targets=ds.targets.copy()) for ds in (train_ds, eval_ds)
+    )
+
+
 def cmd_train(args) -> int:
     if args.snapshot_every < 0:
         raise ValueError(f"--snapshot-every must be >= 0 (0 disables snapshots), got {args.snapshot_every}")
@@ -263,23 +291,7 @@ def cmd_train(args) -> int:
     if args.task == "adding":
         train_ds, eval_ds = adding_splits(args.train_size, args.test_size, args.seq_len, args.seed)
     else:
-        needed = (args.mnist_images, args.mnist_labels)
-        if any(p is None for p in needed):
-            raise ValueError("--task mnist requires --mnist-images and --mnist-labels")
-        if (args.mnist_test_images is None) != (args.mnist_test_labels is None):
-            raise ValueError("--mnist-test-images and --mnist-test-labels go together: give both or neither")
-        if args.train_size < 1 or args.test_size < 1:
-            raise ValueError(f"train and test sizes must be positive, got {args.train_size} and {args.test_size}")
-        # evaluate on the images the training split leaves over, unless a test pair is given
-        train_ds, held_out = load_mnist_idx(args.mnist_images, args.mnist_labels).split(args.train_size)
-        if args.mnist_test_images is not None:
-            held_out = load_mnist_idx(args.mnist_test_images, args.mnist_test_labels)
-        eval_ds = held_out.subset(args.test_size)
-        if len(train_ds) == 0 or len(eval_ds) == 0:
-            raise ValueError(
-                f"--train-size {args.train_size} and --test-size {args.test_size} leave "
-                f"{len(train_ds)} training and {len(eval_ds)} evaluation images"
-            )
+        train_ds, eval_ds = _mnist_splits(args)
     out_dir = Path(args.out)
     _check_out_dir(out_dir)
 

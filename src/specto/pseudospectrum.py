@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,15 +41,24 @@ __all__ = [
 
 # Nodes per SVD batch are capped so a chunk of shifted matrices stays within
 # a fixed memory budget (512 KiB of complex scalars, 32 shifted 32x32 gates).
-# The budget sets the peak RSS of a process that trains and then analyzes:
-# each pool thread allocates its chunks from its own malloc arena, and once
-# training has freed its dataset glibc's raised mmap threshold keeps them on
-# the heap, so each thread's largest chunk stays resident on top of the
-# training's peak; 2 MiB chunks peaked ~6 MB higher. One SVD thread takes the
-# same time per node at either size, as the cost is LAPACK's per-matrix call.
-# The chunking is independent of the worker count, which keeps results
-# bitwise identical under any parallel schedule.
+# The chunks are built in buffers of this size that belong to the caller of
+# compute_fields, one per worker, allocated once per call on its thread and
+# handed to the pool tasks through a queue. The pool threads allocate only
+# LAPACK's small per-call arrays, so no worker's malloc arena keeps a chunk
+# resident on top of a training's peak (once training has freed its dataset,
+# glibc's raised mmap threshold keeps such blocks on the heap). One SVD
+# thread takes the same time per node at any chunk size, as the cost is
+# LAPACK's per-matrix call. The chunking is independent of the worker count,
+# which keeps results bitwise identical under any parallel schedule.
 _CHUNK_SCALARS = 1 << 15
+
+# Nodes per row block of the full-grid bracket arithmetic in compute_field,
+# so its temporaries stay a small fraction of the grid (64 KiB of float64 a
+# block). Each block costs the calling thread a fixed numpy overhead, on the
+# critical path between SVD stages: 4096-node blocks took ~25% more caller
+# CPU than whole-grid arithmetic on a 200x200 compare, 8192-node blocks no
+# measurable extra, and neither held more memory at its peak.
+_BLOCK_SCALARS = 1 << 13
 
 # Rounding margin of the Lipschitz brackets, relative to ||W||_F + max|node|.
 # A computed singular value of W - lambda*I is off by a small multiple of
@@ -191,17 +201,26 @@ def _require_levels(field: PseudospectrumField, levels) -> tuple[float, ...]:
     return levels
 
 
-def _sigma_min_stack(a: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Smallest singular value of (a - lam*I) for every lam in the batch."""
+def _sigma_min_stack(a: np.ndarray, lams: np.ndarray, spare: queue.SimpleQueue | None = None) -> np.ndarray:
+    """Smallest singular value of (a - lam*I) for every lam in the batch.
+
+    The shifted matrices are built in a flat complex128 buffer taken from
+    ``spare`` and put back after, or in a fresh array when ``spare`` is None.
+    """
     k, n = lams.size, a.shape[0]
-    shifted = np.empty((k, n, n), dtype=np.complex128)
-    shifted[...] = a
-    with np.errstate(over="ignore", invalid="ignore"):
-        shifted.reshape(k, n * n)[:, :: n + 1] -= lams[:, None]  # the diagonals
-        try:
-            sigma = np.linalg.svd(shifted, compute_uv=False)[:, -1]
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"SVD did not converge: {exc}") from exc
+    buffer = np.empty(k * n * n, dtype=np.complex128) if spare is None else spare.get()
+    try:
+        shifted = buffer[: k * n * n].reshape(k, n, n)
+        shifted[...] = a
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifted.reshape(k, n * n)[:, :: n + 1] -= lams[:, None]  # the diagonals
+            try:
+                sigma = np.linalg.svd(shifted, compute_uv=False)[:, -1]
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"SVD did not converge: {exc}") from exc
+    finally:
+        if spare is not None:
+            spare.put(buffer)
     if not np.isfinite(sigma).all():
         raise NumericalError("sigma_min overflowed: W - lambda*I has entries past the float range")
     return sigma
@@ -212,6 +231,21 @@ def sigma_min_at(w: Matrix, lam: complex) -> float:
     if not w.is_square:
         raise ValueError(f"sigma_min_at requires a square matrix, got {w.shape}")
     return float(_sigma_min_stack(w.array, np.array([lam], dtype=np.complex128))[0])
+
+
+def _node_radii(grid: GridSpec) -> np.ndarray:
+    """|node| at every grid node, built from the axes in row blocks.
+
+    They are ``np.abs(grid.nodes())`` to the bit, without the complex grid.
+    numpy's complex absolute value can differ from ``np.hypot`` of the parts
+    in the last bit, so the radii are not taken from ``np.hypot``.
+    """
+    re, im = grid.re_axis(), grid.im_axis()
+    radii = np.empty((grid.nx, grid.ny))
+    block = max(1, _BLOCK_SCALARS // grid.ny)
+    for s in range(0, grid.nx, block):
+        radii[s : s + block] = np.abs(re[s : s + block, None] + 1j * im)
+    return radii
 
 
 def _lattice(n: int, step: int, folded: bool) -> np.ndarray:
@@ -310,10 +344,13 @@ def compute_fields(jobs, levels=None, *, workers: int | None = None) -> list[Pse
     stage of a job (``_field``) yields in the chunks of a job run alone, so
     every field is bitwise the one ``compute_field`` returns, and resumes up
     to ``workers + 1`` jobs in FIFO turns: one job's brackets overlap the
-    others' chunks. On a failure the queued chunks are cancelled, the other
-    jobs closed, and the first error met in turn order is raised. The SVDs
-    run with OpenBLAS at one thread (``_blas``), so the fields do not depend
-    on its thread count either.
+    others' chunks. The chunks are built in buffers of ``_CHUNK_SCALARS``
+    complex scalars (or one matrix, if larger) that the call allocates on
+    the caller's thread, one per worker, and lends to the SVD tasks through
+    a queue, so no worker's malloc arena keeps a chunk. On a failure the
+    queued chunks are cancelled, the other jobs closed, and the first error
+    met in turn order is raised. The SVDs run with OpenBLAS at one thread
+    (``_blas``), so the fields do not depend on its thread count either.
     """
     jobs = list(jobs)
     for w, _ in jobs:
@@ -322,6 +359,10 @@ def compute_fields(jobs, levels=None, *, workers: int | None = None) -> list[Pse
     if levels is not None:
         levels = check_levels(levels)
     nworkers = resolve_workers(workers)
+    spare = queue.SimpleQueue()
+    size = max([_CHUNK_SCALARS] + [w.array.size for w, _ in jobs])
+    for _ in range(nworkers):
+        spare.put(np.empty(size, dtype=np.complex128))
     fields = [None] * len(jobs)
     waiting = deque(enumerate(jobs))
     turns = deque()  # (job index, its stage generator, the futures of the chunks it waits for)
@@ -342,7 +383,9 @@ def compute_fields(jobs, levels=None, *, workers: int | None = None) -> list[Pse
                     continue
                 a = jobs[k][0].array
                 chunk = max(1, _CHUNK_SCALARS // a.size)
-                futures = [pool.submit(_sigma_min_stack, a, lams[s : s + chunk]) for s in range(0, lams.size, chunk)]
+                futures = [
+                    pool.submit(_sigma_min_stack, a, lams[s : s + chunk], spare) for s in range(0, lams.size, chunk)
+                ]
                 turns.append((k, stage, futures))
         except BaseException:
             pool.shutdown(cancel_futures=True)
@@ -356,71 +399,81 @@ def _field(w: Matrix, grid: GridSpec, levels):
     """``compute_field`` as a generator: each stage yields its nodes and is sent their sigma_min.
 
     No ``np.errstate`` spans a ``yield``, or its state would leak into the jobs run between turns.
+    The full-grid arithmetic runs in row blocks of ``_BLOCK_SCALARS`` nodes, and a stage's nodes
+    are built from the axes, so no complex node grid or full-grid temporary is held.
     """
     spectrum = eigenvalues(w)
     a = w.array
-    nodes = grid.nodes()
+    shape = (grid.nx, grid.ny)
+    re, im = grid.re_axis(), grid.im_axis()
     folded = w.is_real and grid.im_min == -grid.im_max
     mirror = np.arange(grid.ny)[:: -1 if folded else 1]  # column j reads its values from column mirror[j]
-    im = grid.im_axis()
     skew = float(np.abs(im + im[::-1]).max()) if folded else 0.0
     own = np.arange(grid.ny) >= mirror  # the columns sigma_min is evaluated on
-    values = np.zeros(nodes.shape)
-    exact = np.zeros(nodes.shape, dtype=bool)
+    values = np.zeros(shape)
+    exact = np.zeros(shape, dtype=bool)
     evaluated = 0
+    block = max(1, _BLOCK_SCALARS // grid.ny)  # grid rows per block
 
     def evaluate(mask):
         nonlocal evaluated
         mask = (mask | mask[:, mirror]) & ~exact
-        values[mask & own] = yield nodes[mask & own]
-        values[:, ~own] = values[:, mirror[~own]]
+        i, j = np.nonzero(mask & own)
+        values[i, j] = yield re[i] + 1j * im[j]
+        evaluated += i.size
+        i, j = np.nonzero(mask & ~own)
+        values[i, j] = values[i, mirror[j]]
         exact[mask] = True
-        evaluated += int((mask & own).sum())
 
     if levels is None:
-        yield from evaluate(np.ones(nodes.shape, dtype=bool))
+        yield from evaluate(np.ones(shape, dtype=bool))
     else:
         with np.errstate(over="ignore"):
-            margin = _BRACKET_MARGIN * (float(np.linalg.norm(a)) + float(np.abs(nodes).max())) + 2.0 * skew
+            margin = _BRACKET_MARGIN * (float(np.linalg.norm(a)) + float(_node_radii(grid).max())) + 2.0 * skew
         h = max(grid.step)
-        lo, hi = np.full(nodes.shape, -np.inf), np.full(nodes.shape, np.inf)
+        lo, hi = np.full(shape, -np.inf), np.full(shape, np.inf)
 
         def holds(lo, hi):  # some level lies in [lo, hi]
             return np.searchsorted(levels, hi, "right") > np.searchsorted(levels, lo)
 
-        def bracket(rows, cols, at_rows, at_cols):  # brackets at at_rows x at_cols from rows x cols
+        def crossable(rows, cols, at_rows, at_cols, widen):
+            """Bracket the nodes at_rows x at_cols from rows x cols into lo, hi; mask those whose
+            bracket, widened by ``widen``, holds a level."""
             ix = np.ix_(rows, cols)
             known = exact[ix]
+            near = np.zeros(shape, dtype=bool)
             with np.errstate(over="ignore"):
-                return _brackets(
-                    grid, rows, cols,
-                    np.where(known, values[ix] - margin, lo[ix]),
-                    np.where(known, values[ix] + margin, hi[ix]),
-                    at_rows, at_cols,
-                )
+                below = np.where(known, values[ix] - margin, lo[ix])
+                above = np.where(known, values[ix] + margin, hi[ix])
+                for s in range(0, at_rows.size, block):
+                    part = at_rows[s : s + block]
+                    out = np.ix_(part, at_cols)
+                    part_lo, part_hi = _brackets(grid, rows, cols, below, above, part, at_cols)
+                    lo[out], hi[out] = part_lo, part_hi
+                    near[out] = holds(part_lo - widen, part_hi + widen)
+            return near
 
         def lattice(step):
             return _lattice(grid.nx, step, False), _lattice(grid.ny, step, folded)
 
         rows, cols = lattice(_LATTICE_STEPS[0])
-        near = np.zeros(nodes.shape, dtype=bool)
+        near = np.zeros(shape, dtype=bool)
         near[np.ix_(rows, cols)] = True
         yield from evaluate(near)
         for step in _LATTICE_STEPS[1:]:
             at = lattice(step)
-            ix = np.ix_(*at)
-            lo[ix], hi[ix] = bracket(rows, cols, *at)
-            near = np.zeros(nodes.shape, dtype=bool)
-            with np.errstate(over="ignore"):
-                near[ix] = holds(lo[ix] - h, hi[ix] + h)
-            yield from evaluate(near)
+            yield from evaluate(crossable(rows, cols, *at, h))
             rows, cols = at
-        lo, hi = bracket(rows, cols, np.arange(grid.nx), np.arange(grid.ny))
-        yield from evaluate(holds(lo, hi))  # wave 1
-        lo, hi = np.where(exact, values, lo), np.where(exact, values, hi)
-        band = np.where(holds(lo, hi), -1, np.searchsorted(levels, lo))
+        yield from evaluate(crossable(rows, cols, np.arange(grid.nx), np.arange(grid.ny), 0.0))  # wave 1
+        np.copyto(lo, values, where=exact)
+        np.copyto(hi, values, where=exact)
+        band = np.empty(shape, dtype=np.min_scalar_type(-1 - len(levels)))  # -1 .. len(levels)
+        for s in range(0, grid.nx, block):
+            part = slice(s, s + block)
+            band[part] = np.where(holds(lo[part], hi[part]), -1, np.searchsorted(levels, lo[part]))
         yield from evaluate(_differs_from_a_neighbour(band))  # wave 2
-        values = np.where(exact, values, np.maximum(lo, 0.0))
+        np.maximum(lo, 0.0, out=lo)
+        np.copyto(values, lo, where=~exact)
     values.setflags(write=False)
     return PseudospectrumField(
         grid=grid, values=values, eigenvalues=spectrum, levels=levels, exact=exact, evaluated=evaluated
@@ -565,7 +618,7 @@ def pseudospectral_radius(field: PseudospectrumField, eps: float) -> float:
     eigenvalues are used as a fallback (they always belong to sigma_eps).
     """
     (eps,) = _require_levels(field, [eps])
-    return _radius_within(field, np.abs(field.grid.nodes()), eps)
+    return _radius_within(field, _node_radii(field.grid), eps)
 
 
 def kreiss_lower_bound(field: PseudospectrumField, eps_list) -> float:
@@ -574,7 +627,7 @@ def kreiss_lower_bound(field: PseudospectrumField, eps_list) -> float:
     Underestimates the true Kreiss constant both through the eps sampling
     and through the grid-based rho_eps; clamped at zero.
     """
-    radii = np.abs(field.grid.nodes())
+    radii = _node_radii(field.grid)
     best = max((_radius_within(field, radii, e) - 1.0) / e for e in _require_levels(field, eps_list))
     if not np.isfinite(best):
         raise NumericalError("Kreiss lower bound overflowed: (rho_eps - 1)/eps is past the float range")

@@ -211,9 +211,9 @@ class TestAnalyze:
         write_matrix_file(path, Matrix(rng.standard_normal((6, 6)) * 0.4), name="w")
         stack, compute_fields, sizes, fields = pseudospectrum._sigma_min_stack, cli.compute_fields, [], []
 
-        def recording(a, lams):
+        def recording(a, lams, spare=None):
             sizes.append(lams.size)
-            return stack(a, lams)
+            return stack(a, lams, spare)
 
         def kept(*args, **kwargs):
             fields.extend(compute_fields(*args, **kwargs))
@@ -719,6 +719,26 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("specto: usage error:") and "--mnist-test-labels" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("test_pair", [False, True])
+    def test_mnist_splits_hold_only_the_images_they_use(self, tmp_path, monkeypatch, test_pair):
+        images, labels = synthetic_digits(2000, seed=0)
+        write_idx_images(tmp_path / "img.idx", images)
+        write_idx_labels(tmp_path / "lbl.idx", labels)
+        seen, train = [], cli.train
+
+        def capturing(cfg, train_ds, eval_ds, **kwargs):
+            seen.extend((train_ds, eval_ds))
+            return train(cfg, train_ds, eval_ds, **kwargs)
+
+        monkeypatch.setattr(cli, "train", capturing)
+        digits = (tmp_path / "img.idx", tmp_path / "lbl.idx")
+        assert self._train_mnist(tmp_path, digits, "--train-size", "100", "--test-size", "50", test_pair=test_pair) == 0
+        assert [len(ds) for ds in seen] == [100, 50]
+        for ds in seen:
+            used = len(ds) * 28 * 28
+            assert ds.inputs.flags.owndata and ds.inputs.nbytes <= 1.25 * used
+            assert ds.targets.flags.owndata
 
     def test_mnist_leftover_evaluation_split(self, tmp_path, capsys, digits):
         assert self._train_mnist(tmp_path, digits, "--train-size", "8", "--test-size", "100") == 0

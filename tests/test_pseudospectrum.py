@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -321,9 +322,9 @@ class TestCertifiedField:
     def test_svd_chunks_stay_within_the_memory_bound(self, monkeypatch, rng):
         stack, calls = pseudospectrum._sigma_min_stack, []
 
-        def recording(a, lams):
+        def recording(a, lams, spare=None):
             calls.append(lams.size * a.size)
-            return stack(a, lams)
+            return stack(a, lams, spare)
 
         monkeypatch.setattr(pseudospectrum, "_sigma_min_stack", recording)
         w = random_matrix(rng, 32, scale=0.2)
@@ -338,9 +339,9 @@ class TestCertifiedField:
         grid = auto_grid(w, nx=45, ny=45)
         stack, fields, sizes = pseudospectrum._sigma_min_stack, [], {}
 
-        def recording(a, lams):
+        def recording(a, lams, spare=None):
             sizes.setdefault(pseudospectrum._CHUNK_SCALARS, []).append(lams.size)
-            return stack(a, lams)
+            return stack(a, lams, spare)
 
         monkeypatch.setattr(pseudospectrum, "_sigma_min_stack", recording)
         budgets = (1 << 17, 1 << 15, 1 << 11)
@@ -375,9 +376,9 @@ def _svd_batch_sizes(monkeypatch):
     """Record the batch size of every sigma_min kernel call."""
     stack, sizes = pseudospectrum._sigma_min_stack, []
 
-    def recording(a, lams):
+    def recording(a, lams, spare=None):
         sizes.append(lams.size)
-        return stack(a, lams)
+        return stack(a, lams, spare)
 
     monkeypatch.setattr(pseudospectrum, "_sigma_min_stack", recording)
     return sizes
@@ -598,6 +599,57 @@ class TestComputeFields:
             _assert_same_field(got, want)
         assert len(jobs) > workers + 1 and peak[0] == workers + 1 and live[0] == 0
 
+    def test_three_gate_fields_hold_few_grids_beyond_their_outputs(self):
+        ws = [random_matrix(np.random.default_rng(seed), 32, complex_entries=False, scale=0.18) for seed in range(3)]
+        jobs = [(w, auto_grid(w)) for w in ws]
+        compute_field(ws[0], auto_grid(ws[0], nx=20, ny=20), DEFAULT_EPS_LEVELS, workers=2)  # first-call state
+        tracemalloc.start()
+        try:
+            fields = compute_fields(jobs, DEFAULT_EPS_LEVELS, workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        grid_bytes = 200 * 200 * 8
+        assert all(f.values.shape == (200, 200) for f in fields)
+        outputs = sum(f.values.nbytes + f.exact.nbytes for f in fields)
+        # three jobs in flight hold their values, exact mask and bracket ends, beside two chunk buffers
+        assert peak - outputs <= 21 * grid_bytes, (peak - outputs) / grid_bytes
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_svd_tasks_fill_one_caller_owned_buffer_per_worker(self, rng, monkeypatch, workers):
+        stack, svd, caller = pseudospectrum._sigma_min_stack, np.linalg.svd, threading.current_thread()
+        queues, filled = [], set()
+
+        def recording(a, lams, spare=None):
+            queues.append(spare)
+            return stack(a, lams, spare)
+
+        def reading(x, *args, **kwargs):
+            assert threading.current_thread() is not caller
+            filled.add(x.__array_interface__["data"][0])
+            return svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(pseudospectrum, "_sigma_min_stack", recording)
+        monkeypatch.setattr(np.linalg, "svd", reading)
+        ws = [random_matrix(rng, 32, complex_entries=complex_entries, scale=0.2) for complex_entries in (False, True)]
+        compute_fields([(w, auto_grid(w, nx=45, ny=45)) for w in ws], (1e-2, 0.1), workers=workers)
+        assert len(queues) > workers and all(q is queues[0] for q in queues)
+        buffers = []
+        while not queues[0].empty():
+            buffers.append(queues[0].get())
+        assert len({id(b) for b in buffers}) == len(buffers) == workers
+        for b in buffers:
+            assert b.flags.owndata and b.dtype == np.complex128 and b.size == pseudospectrum._CHUNK_SCALARS
+        assert filled == {b.__array_interface__["data"][0] for b in buffers}
+
+    def test_a_matrix_larger_than_the_chunk_budget_gets_a_buffer_it_fits(self, rng, monkeypatch):
+        monkeypatch.setattr(pseudospectrum, "_CHUNK_SCALARS", 16)
+        w = random_matrix(rng, 6)  # 36 scalars, one matrix per chunk
+        grid = GridSpec(-1.5, 1.5, -1.2, 1.4, 9, 7)
+        got = compute_field(w, grid, workers=2)
+        want = np.array([[sigma_min_at(w, lam) for lam in row] for row in grid.nodes()])
+        assert np.array_equal(got.values, want)
+
 
 class TestAutoGrid:
     def test_unit_disk_dominates(self):
@@ -817,6 +869,26 @@ class TestPseudospectralRadius:
         with pytest.raises(ValueError):
             pseudospectral_radius(f, 0.0)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GridSpec(-2.0, 2.0, -1.5, 1.5, 41, 31),  # folded box
+            GridSpec(-1.3, 2.1, -0.4, 1.9, 37, 29),  # asymmetric box
+            _SkewedGrid(-2.0, 2.0, -1.7, 1.7, 43, 33),
+        ],
+    )
+    def test_radii_are_the_absolute_values_of_the_complex_nodes(self, rng, grid):
+        radii = np.abs(grid.nodes())
+        for _ in range(10):
+            values = rng.uniform(0.05, 1.5, (grid.nx, grid.ny))
+            eigs = rng.normal(0, 1.2, 3) + 1j * rng.normal(0, 1.2, 3)
+            levels = [0.01, *np.sort(rng.uniform(0.05, 2.0, 5))]  # 0.01: no node, the eigenvalue fallback
+            f = PseudospectrumField(grid, values, eigs)
+            want = [float(radii[values <= e].max()) if (values <= e).any() else float(np.abs(eigs).max()) for e in levels]
+            assert [pseudospectral_radius(f, e).hex() for e in levels] == [r.hex() for r in want]
+            bound = max(max((r - 1.0) / e for r, e in zip(want, levels)), 0.0)
+            assert kreiss_lower_bound(f, levels).hex() == bound.hex()
+
 
 class TestKreiss:
     def test_identity_bound_near_one(self):
@@ -847,16 +919,20 @@ class TestKreiss:
     def test_builds_grid_nodes_once(self, monkeypatch, rng):
         w = random_matrix(rng, 4)
         f = compute_field(w, auto_grid(w, nx=41, ny=41), workers=1)
-        calls = []
-        nodes = GridSpec.nodes
+        calls = {"nodes": [], "_node_radii": []}
+        nodes, radii = GridSpec.nodes, pseudospectrum._node_radii
 
-        def counted(grid):
-            calls.append(grid)
-            return nodes(grid)
+        def counted(name, inner):
+            def counting(grid):
+                calls[name].append(grid)
+                return inner(grid)
 
-        monkeypatch.setattr(GridSpec, "nodes", counted)
+            return counting
+
+        monkeypatch.setattr(GridSpec, "nodes", counted("nodes", nodes))
+        monkeypatch.setattr(pseudospectrum, "_node_radii", counted("_node_radii", radii))
         kreiss_lower_bound(f, [1e-3, 1e-2, 0.05, 0.1, 0.5, 1.0])
-        assert len(calls) == 1
+        assert calls == {"nodes": [], "_node_radii": [f.grid]}  # the radii once, and no complex node grid
 
     def test_equals_max_over_per_level_radii(self, rng):
         for _ in range(25):
