@@ -66,8 +66,9 @@ _BLOCK_SCALARS = 1 << 13
 # node's own value and the distances for n up to a few thousand.
 _BRACKET_MARGIN = 1e-12
 
-# Steps of the lattices on which compute_field refines the field, coarsest first.
-_LATTICE_STEPS = (8, 4, 2)
+# Steps of the lattices on which compute_field refines the field, coarsest
+# first. The last must be 1: that pass (wave 1) brackets every grid node.
+_LATTICE_STEPS = (8, 4, 2, 1)
 
 DEFAULT_GRID_NODES = 200
 DEFAULT_GRID_PAD = 0.5
@@ -298,17 +299,18 @@ def compute_field(w: Matrix, grid: GridSpec, levels=None, *, workers: int | None
     """sigma_min(W - lambda*I) at the grid nodes, exact wherever a level can cross.
 
     sigma_min is 1-Lipschitz in lambda, so known values bracket it nearby.
-    The field is refined on lattices of every 8th, 4th and 2nd grid row and
-    column, plus the last ones (``_LATTICE_STEPS``). Every node of the
-    8-lattice is evaluated. Each node of the 4-lattice, then of the
-    2-lattice, gets a bracket [lo, hi] from the four nodes of the previous
-    lattice around it, from their values or from their own bracket ends; it
-    is evaluated when its bracket, widened by one grid step h (the larger
-    axis step), holds a level. The other nodes are bracketed from the
-    2-lattice, and wave 1 evaluates those whose bracket holds a level. An
-    evaluated value v bounds sigma_min to [v - margin, v + margin]; the
-    margin covers rounding, so a bracket also holds the value that
-    evaluating its node would give.
+    The field is refined in one loop over lattices of every step-th grid row
+    and column, plus the last ones, for each step of ``_LATTICE_STEPS``
+    (8, 4, 2, 1). Each pass gives every node of its lattice a bracket
+    [lo, hi] from the four nodes of the previous lattice around it, from
+    their values or from their own bracket ends, and evaluates the node when
+    its bracket, widened by one grid step h (the larger axis step) on the
+    coarse lattices and by 0 on the whole grid, holds a level. The first
+    pass brackets its lattice from itself while every bracket is still
+    [-inf, inf], so each of its nodes is evaluated; the last pass (wave 1)
+    brackets the whole grid. An evaluated value v bounds sigma_min to
+    [v - margin, v + margin]; the margin covers rounding, so a bracket also
+    holds the value that evaluating its node would give.
 
     Every node then has a band: the gap between consecutive levels that holds
     its value or bracket, or -1 if one of ``levels`` lies in it. Wave 2
@@ -412,15 +414,12 @@ def _field(w: Matrix, grid: GridSpec, levels):
     own = np.arange(grid.ny) >= mirror  # the columns sigma_min is evaluated on
     values = np.zeros(shape)
     exact = np.zeros(shape, dtype=bool)
-    evaluated = 0
     block = max(1, _BLOCK_SCALARS // grid.ny)  # grid rows per block
 
     def evaluate(mask):
-        nonlocal evaluated
         mask = (mask | mask[:, mirror]) & ~exact
         i, j = np.nonzero(mask & own)
         values[i, j] = yield re[i] + 1j * im[j]
-        evaluated += i.size
         i, j = np.nonzero(mask & ~own)
         values[i, j] = values[i, mirror[j]]
         exact[mask] = True
@@ -453,18 +452,9 @@ def _field(w: Matrix, grid: GridSpec, levels):
                     near[out] = holds(part_lo - widen, part_hi + widen)
             return near
 
-        def lattice(step):
-            return _lattice(grid.nx, step, False), _lattice(grid.ny, step, folded)
-
-        rows, cols = lattice(_LATTICE_STEPS[0])
-        near = np.zeros(shape, dtype=bool)
-        near[np.ix_(rows, cols)] = True
-        yield from evaluate(near)
-        for step in _LATTICE_STEPS[1:]:
-            at = lattice(step)
-            yield from evaluate(crossable(rows, cols, *at, h))
-            rows, cols = at
-        yield from evaluate(crossable(rows, cols, np.arange(grid.nx), np.arange(grid.ny), 0.0))  # wave 1
+        lattices = [(_lattice(grid.nx, step, False), _lattice(grid.ny, step, folded)) for step in _LATTICE_STEPS]
+        for step, coarse, at in zip(_LATTICE_STEPS, lattices[:1] + lattices, lattices):
+            yield from evaluate(crossable(*coarse, *at, h if step > 1 else 0.0))
         np.copyto(lo, values, where=exact)
         np.copyto(hi, values, where=exact)
         band = np.empty(shape, dtype=np.min_scalar_type(-1 - len(levels)))  # -1 .. len(levels)
@@ -476,7 +466,7 @@ def _field(w: Matrix, grid: GridSpec, levels):
         np.copyto(values, lo, where=~exact)
     values.setflags(write=False)
     return PseudospectrumField(
-        grid=grid, values=values, eigenvalues=spectrum, levels=levels, exact=exact, evaluated=evaluated
+        grid=grid, values=values, eigenvalues=spectrum, levels=levels, exact=exact, evaluated=int((exact & own).sum())
     )
 
 

@@ -428,7 +428,7 @@ def predictions(cell: CellParams, data) -> np.ndarray:
     steps = data.inputs.shape[1]
     width = cell.hidden + cell.input_dim + 1
     chunk = max(1, _EVAL_SCALARS // ((steps + 1) * (len(cell.gates) * cell.hidden + 2 * width)))
-    outs = []
+    outs = [np.empty((0, cell.w_out.shape[0]))]  # the logits of an empty dataset
     for lo in range(0, len(data), chunk):
         outs.append(forward_batch(cell, data.batch(slice(lo, lo + chunk)))[1])
     return np.concatenate(outs, axis=0)
@@ -436,6 +436,8 @@ def predictions(cell: CellParams, data) -> np.ndarray:
 
 def accuracy(cell: CellParams, data) -> float:
     """Fraction correct for ``data.task``: |prediction - target| <= 0.04 (adding) or argmax (mnist)."""
+    if not len(data):
+        raise ValueError("accuracy of an empty dataset is undefined")
     logits = predictions(cell, data)
     if data.task == "adding":
         return float(np.mean(np.abs(logits[:, 0] - data.targets) <= _ADDING_TOL))

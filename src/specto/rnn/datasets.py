@@ -15,6 +15,7 @@ no float64 copy of a whole split is ever held:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -154,7 +155,7 @@ def _read_idx(path, expected_magic: int, ndim: int) -> np.ndarray:
     magic, dims = fields[0], fields[1:]
     if magic != expected_magic:
         raise FormatError(f"{path}: bad IDX magic 0x{magic:08x} at offset 0 (expected 0x{expected_magic:08x})")
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # exact: a numpy product wraps at 2**64
     if len(data) != header + count:
         raise FormatError(
             f"{path}: payload length mismatch at offset {header}: "
@@ -192,6 +193,8 @@ def write_idx_images(path, images: np.ndarray) -> None:
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
     labels = np.asarray(labels, dtype=np.uint8)
+    if labels.ndim != 1:
+        raise ValueError("labels must be (n,) uint8")
     with open(path, "wb") as f:
         f.write(struct.pack(">2I", IDX_LABELS_MAGIC, labels.shape[0]))
         f.write(labels.tobytes())

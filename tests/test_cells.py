@@ -445,6 +445,10 @@ class TestAccuracy:
         cell.b_out[3] = 0.1
         assert accuracy(cell, data) == 3 / 5
 
+    def test_empty_dataset(self):
+        with pytest.raises(ValueError, match="empty dataset"):
+            accuracy(init_cell("gru", 2, 4, 1, seed=0), generate_adding(10, 5).subset(0))
+
     def test_unknown_task(self):
         cell = init_cell("rnn", 2, 2, 1, seed=0)
         with pytest.raises(ValueError, match="unknown task"):
@@ -452,6 +456,16 @@ class TestAccuracy:
 
 
 class TestPredictions:
+    @pytest.mark.parametrize("kind", ["rnn", "lstm", "gru"])
+    def test_empty_dataset_has_no_logits(self, kind):
+        logits = predictions(init_cell(kind, 2, 4, 3, seed=0), generate_adding(10, 5).subset(0))
+        assert logits.shape == (0, 3) and logits.dtype == np.float64
+
+    def test_one_pass_is_the_forward_logits_bitwise(self):
+        data = generate_adding(10, 5, seed=0)
+        cell = init_cell("gru", 2, 4, 1, seed=0)
+        assert predictions(cell, data).tobytes() == forward_batch(cell, data.batch(np.arange(10)))[1].tobytes()
+
     def test_forward_passes_stay_within_the_buffer_bound(self, monkeypatch):
         data = generate_adding(600, 50, seed=0)
         cell = init_cell("gru", 2, 32, 1, seed=0)  # the CLI's default GRU

@@ -517,6 +517,20 @@ class TestFailuresWriteNothing:
         assert run([*argv, "--mnist-labels", tmp_path / "none2.idx"]) == 3
         assert not out.exists()
 
+    def test_train_mnist_header_count_past_the_int64_range(self, tmp_path, capsys):
+        # its dims multiply to 2**64, which an int64 product wraps to the 0 bytes the file has
+        ipath, lpath = tmp_path / "i.idx", tmp_path / "l.idx"
+        write_idx_images(ipath, np.zeros((0, 1, 1), dtype=np.uint8))
+        ipath.write_bytes(ipath.read_bytes()[:4] + struct.pack(">3I", 2**31, 2**31, 4))
+        write_idx_labels(lpath, np.zeros(0, dtype=np.uint8))
+        out = tmp_path / "o"
+        argv = ["train", "--task", "mnist", "--mnist-images", ipath, "--mnist-labels", lpath, "--out", out]
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"specto: input error: {ipath}: payload length mismatch")
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", [3, 35])  # in the training split, in the evaluation split
     def test_train_mnist_label_outside_the_classes(self, tmp_path, capsys, bad):
         images, labels = synthetic_digits(40, seed=0)

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -119,6 +120,19 @@ class TestIdx:
         write_idx_labels(lpath, np.zeros(2, dtype=np.uint8))
         with pytest.raises(FormatError, match="count mismatch"):
             load_mnist_idx(ipath, lpath)
+
+    def test_header_count_past_the_int64_range(self, tmp_path):
+        # 2**31 * 2**31 * 4 image bytes wrap to 0 in an int64 product, which a bare header matches
+        ipath, lpath = self._write_pair(tmp_path, np.zeros((0, 1, 1), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
+        ipath.write_bytes(ipath.read_bytes()[:4] + struct.pack(">3I", 2**31, 2**31, 4))
+        with pytest.raises(FormatError, match=rf"imgs\.idx: payload length mismatch .* header promises {2**64}$"):
+            load_mnist_idx(ipath, lpath)
+
+    def test_labels_must_be_one_dimensional(self, tmp_path):
+        lpath = tmp_path / "lbls.idx"
+        with pytest.raises(ValueError, match="labels must be"):
+            write_idx_labels(lpath, np.zeros((3, 2), dtype=np.uint8))
+        assert not lpath.exists()
 
     def test_truncated_header(self, tmp_path):
         p = tmp_path / "tiny.idx"

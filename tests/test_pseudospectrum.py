@@ -228,7 +228,8 @@ def _assert_bands_hold(f, full, levels):
 
 
 def _assert_lattices_evaluated(w, f, full, levels):
-    """The 8-lattice is evaluated, and so is each 4- and 2-lattice node within a grid step of a level."""
+    """The first lattice of ``_LATTICE_STEPS`` is evaluated, and so is each node within a grid step
+    of a level on the lattices between the first and the last."""
     grid = f.grid
     folded = w.is_real and grid.im_min == -grid.im_max
 
@@ -238,8 +239,9 @@ def _assert_lattices_evaluated(w, f, full, levels):
     near = np.zeros(f.exact.shape, dtype=bool)
     for lev in levels:
         near |= np.abs(full.values - lev) <= max(grid.step)
-    assert f.exact[lattice(8)].all()
-    for step in (4, 2):
+    steps = pseudospectrum._LATTICE_STEPS
+    assert f.exact[lattice(steps[0])].all()
+    for step in steps[1:-1]:
         assert f.exact[lattice(step)][near[lattice(step)]].all()
 
 
@@ -270,6 +272,25 @@ class TestCertifiedField:
     def test_random_cases_match_the_full_field(self):
         certified = [_assert_certified_like_full(*_certified_case(seed)) for seed in range(150)]
         assert sum(k > 0 for k in certified) >= 50  # the skipping is exercised
+
+    @pytest.mark.parametrize("steps", [(8, 4, 2, 1), (16, 8, 4, 2, 1), (2, 1), (1,)])
+    def test_one_stage_per_lattice_then_wave_2(self, monkeypatch, steps):
+        monkeypatch.setattr(pseudospectrum, "_LATTICE_STEPS", steps)
+        for seed in range(10):
+            w, grid, levels = _certified_case(seed)
+            _assert_certified_like_full(w, grid, levels)
+            stage, sigma, stages, svds = pseudospectrum._field(w, grid, levels), None, 0, 0
+            while True:
+                try:
+                    lams = stage.send(sigma)
+                except StopIteration as done:
+                    f = done.value
+                    break
+                stages, svds = stages + 1, svds + lams.size
+                sigma = pseudospectrum._sigma_min_stack(w.array, lams)
+            assert stages == len(steps) + 1
+            assert f.evaluated == svds
+            _assert_same_field(f, compute_field(w, grid, levels, workers=1))
 
     def test_jordan_block(self):
         grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41)
