@@ -11,8 +11,9 @@ makes its output directory at its first write: ``analyze`` and
 ``compare`` once every field and report is built, so a failing one writes
 nothing, and ``train`` with its first gate snapshot (its final gates
 under --snapshot-every 0), so a run that fails before then writes nothing
-either; ``train`` checks before its first epoch that --out is a directory
-or can become one. Report and SVG outputs contain no timestamps or
+either. ``analyze`` and ``compare`` check before they load any input, and
+``train`` before its first epoch, that --out is a directory or can become
+one. Report and SVG outputs contain no timestamps or
 filesystem paths, and every command runs with numpy's OpenBLAS, which
 computes the SVDs and the Schur forms, at one thread (scipy's too where
 the Schur form falls back to scipy, ``_blas``), so identical flags and
@@ -60,14 +61,14 @@ from .report import (
     serialize_report,
     write_contours_csv,
 )
-from .rnn import KINDS, TASKS, TrainConfig, adding_splits, load_mnist_idx, train
+from .rnn import KINDS, TASKS, TrainConfig, adding_splits, mnist_splits, train
 from .stabilizer import StabilizerConfig, stabilize
 
 DEFAULT_EPS_LEVELS = tuple(10.0 ** (-3 + 0.5 * k) for k in range(6))
 
 
 def _parse_eps(text: str | None):
-    if not text:
+    if text is None:
         return DEFAULT_EPS_LEVELS
     try:
         eps = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -127,6 +128,15 @@ def _load_square(path):
     return m, name
 
 
+def _check_out_dir(path: Path) -> None:
+    """Fail as ``mkdir`` would if ``path`` or its nearest existing ancestor is not a directory; makes nothing."""
+    for p in (path, *path.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(p))
+            return
+
+
 def _analyze_jobs(jobs, eps, args, timing=False):
     """Fields, contours and reports of (name, matrix, grid) jobs, the fields on one SVD pool."""
     t0 = time.perf_counter()
@@ -144,6 +154,8 @@ def _analyze_jobs(jobs, eps, args, timing=False):
 def cmd_analyze(args) -> int:
     eps = _parse_eps(args.eps)
     _check_stability_tol(args.stability_tol)
+    out_dir = Path(args.out)
+    _check_out_dir(out_dir)
     loaded = [_load_square(p) for p in args.inputs]
     names = _unique_names(name for _, name in loaded)
     jobs = [(name, m, _grid_for(args, m)) for (m, _), name in zip(loaded, names)]
@@ -163,7 +175,6 @@ def cmd_analyze(args) -> int:
         "inputs": names,
     }
     text = serialize_report(AnalysisReport(version=__version__, config=config, matrices=reports))
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for (name, m, grid), field, contour, rep in zip(jobs, fields, contours, reports):
         write_contours_csv(out_dir / f"contours-{name}.csv", contour)
@@ -181,7 +192,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_stabilize(args) -> int:
     m, name = _load_square(args.input)
-    result = stabilize(m, StabilizerConfig(m=args.m, seed=args.seed))
+    result = stabilize(m, _config(StabilizerConfig, args))
     write_matrix_file(args.output, result.w_s, name)
     print(fmt_float(result.gain_estimate))
     # a few iterations underestimate the gain, and then rho(W_s) can exceed 1
@@ -192,6 +203,8 @@ def cmd_stabilize(args) -> int:
 def cmd_compare(args) -> int:
     eps = _parse_eps(args.eps)
     _check_stability_tol(args.stability_tol)
+    out_dir = Path(args.out)
+    _check_out_dir(out_dir)
     before, before_name = _load_square(args.before)
     after, after_name = _load_square(args.after)
     if before.shape != after.shape:
@@ -211,7 +224,6 @@ def cmd_compare(args) -> int:
     }
     text = emit(delta)
     svg = portrait_svg([(n, f.eigenvalues, c) for n, f, c in zip(names, fields, contours)], grid)
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "compare.json").write_text(text, encoding="utf-8")
     (out_dir / "compare.svg").write_text(svg, encoding="utf-8")
@@ -236,62 +248,26 @@ def _history_csv(history, gates) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_out_dir(path: Path) -> None:
-    """Fail as ``mkdir`` would if ``path`` or its nearest existing ancestor is not a directory; makes nothing."""
-    for p in (path, *path.parents):
-        if p.exists():
-            if not p.is_dir():
-                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(p))
-            return
-
-
-def _mnist_splits(args):
-    """The training and evaluation splits of ``--task mnist``, each a copy of just the images it uses.
-
-    The loaded files are dropped on return, so a run holds what it trains and evaluates on,
-    not every image of the IDX files.
-    """
-    needed = (args.mnist_images, args.mnist_labels)
-    if any(p is None for p in needed):
-        raise ValueError("--task mnist requires --mnist-images and --mnist-labels")
-    if (args.mnist_test_images is None) != (args.mnist_test_labels is None):
-        raise ValueError("--mnist-test-images and --mnist-test-labels go together: give both or neither")
-    if args.train_size < 1 or args.test_size < 1:
-        raise ValueError(f"train and test sizes must be positive, got {args.train_size} and {args.test_size}")
-    # evaluate on the images the training split leaves over, unless a test pair is given
-    train_ds, held_out = load_mnist_idx(args.mnist_images, args.mnist_labels).split(args.train_size)
-    if args.mnist_test_images is not None:
-        held_out = load_mnist_idx(args.mnist_test_images, args.mnist_test_labels)
-    eval_ds = held_out.subset(args.test_size)
-    if len(train_ds) == 0 or len(eval_ds) == 0:
-        raise ValueError(
-            f"--train-size {args.train_size} and --test-size {args.test_size} leave "
-            f"{len(train_ds)} training and {len(eval_ds)} evaluation images"
-        )
-    return tuple(
-        dataclasses.replace(ds, inputs=ds.inputs.copy(), targets=ds.targets.copy()) for ds in (train_ds, eval_ds)
-    )
+def _config(cls, args):
+    """The ``cls`` dataclass built from the parsed flags, each field from the flag of that destination."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def cmd_train(args) -> int:
     if args.snapshot_every < 0:
         raise ValueError(f"--snapshot-every must be >= 0 (0 disables snapshots), got {args.snapshot_every}")
-    cfg = TrainConfig(
-        kind=args.kind,
-        hidden=args.hidden,
-        batch=args.batch,
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        seed=args.seed,
-        grad_clip=args.clip,
-        stabilize=args.stabilize,
-        memory_bias=args.memory_bias,
-        target_accuracy=args.target_accuracy,
-    )
+    cfg = _config(TrainConfig, args)
     if args.task == "adding":
         train_ds, eval_ds = adding_splits(args.train_size, args.test_size, args.seq_len, args.seed)
     else:
-        train_ds, eval_ds = _mnist_splits(args)
+        if args.mnist_images is None or args.mnist_labels is None:
+            raise ValueError("--task mnist requires --mnist-images and --mnist-labels")
+        if (args.mnist_test_images is None) != (args.mnist_test_labels is None):
+            raise ValueError("--mnist-test-images and --mnist-test-labels go together: give both or neither")
+        train_ds, eval_ds = mnist_splits(
+            args.mnist_images, args.mnist_labels, args.train_size, args.test_size,
+            args.mnist_test_images, args.mnist_test_labels,
+        )
     out_dir = Path(args.out)
     _check_out_dir(out_dir)
 
@@ -354,9 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", type=int, default=TrainConfig.hidden)
     p.add_argument("--batch", type=int, default=TrainConfig.batch)
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument("--clip", type=float, default=TrainConfig.grad_clip, help="gradient norm clip; 0 disables")
+    p.add_argument(
+        "--clip", dest="grad_clip", metavar="CLIP", type=float, default=TrainConfig.grad_clip,
+        help="gradient norm clip; 0 disables",
+    )
     p.add_argument(
         "--stabilize",
         type=int,

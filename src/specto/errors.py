@@ -1,5 +1,7 @@
 """Toolkit-wide exception types."""
 
+__all__ = ["SpectoError", "FormatError", "NumericalError", "TrainingDiverged"]
+
 
 class SpectoError(Exception):
     """Base class for toolkit faults."""

@@ -27,7 +27,6 @@ __all__ = [
     "spectral_radius",
     "schur",
     "mat_power_norms",
-    "normalized",
 ]
 
 

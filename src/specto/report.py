@@ -26,8 +26,6 @@ __all__ = [
     "build_matrix_report",
     "serialize_report",
     "parse_report",
-    "emit",
-    "fmt_float",
     "write_contours_csv",
     "portrait_svg",
 ]

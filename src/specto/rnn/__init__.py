@@ -1,47 +1,8 @@
-from .cells import (
-    CellParams,
-    GATE_ORDER,
-    KINDS,
-    accuracy,
-    batch_loss_and_grads,
-    forward_batch,
-    init_cell,
-    loss,
-    param_items,
-    predictions,
-)
-from .datasets import (
-    TASKS,
-    Dataset,
-    adding_splits,
-    generate_adding,
-    load_mnist_idx,
-    synthetic_digits,
-    write_idx_images,
-    write_idx_labels,
-)
-from .training import EpochRecord, TrainConfig, train
+"""Recurrent cells, their task data and the training loop; exports exactly their modules' ``__all__`` names."""
 
-__all__ = [
-    "CellParams",
-    "GATE_ORDER",
-    "KINDS",
-    "TASKS",
-    "Dataset",
-    "EpochRecord",
-    "TrainConfig",
-    "accuracy",
-    "adding_splits",
-    "batch_loss_and_grads",
-    "forward_batch",
-    "generate_adding",
-    "init_cell",
-    "load_mnist_idx",
-    "loss",
-    "param_items",
-    "predictions",
-    "synthetic_digits",
-    "train",
-    "write_idx_images",
-    "write_idx_labels",
-]
+from . import cells, datasets, training
+from .cells import *
+from .datasets import *
+from .training import *
+
+__all__ = [*cells.__all__, *datasets.__all__, *training.__all__]

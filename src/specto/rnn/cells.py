@@ -21,6 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "CellParams",
+    "GATE_ORDER",
+    "KINDS",
+    "param_items",
+    "init_cell",
+    "forward_batch",
+    "loss",
+    "batch_loss_and_grads",
+    "predictions",
+    "accuracy",
+]
+
 GATE_ORDER = {
     "rnn": ("recurrent",),
     "lstm": ("input", "forget", "cell", "output"),

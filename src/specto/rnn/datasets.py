@@ -30,6 +30,7 @@ __all__ = [
     "generate_adding",
     "adding_splits",
     "load_mnist_idx",
+    "mnist_splits",
     "write_idx_images",
     "write_idx_labels",
     "synthetic_digits",
@@ -139,10 +140,14 @@ def generate_adding(n: int, seq_len: int, seed: int = 0) -> Dataset:
     return Dataset(values[:, :, None], targets, "adding", markers)
 
 
-def adding_splits(n_train: int, n_test: int, seq_len: int, seed: int = 0) -> tuple[Dataset, Dataset]:
-    """Train/test split drawn from one stream (paper-scale: 45000/5000)."""
+def _check_sizes(n_train: int, n_test: int) -> None:
     if n_train < 1 or n_test < 1:
         raise ValueError(f"train and test sizes must be positive, got {n_train} and {n_test}")
+
+
+def adding_splits(n_train: int, n_test: int, seq_len: int, seed: int = 0) -> tuple[Dataset, Dataset]:
+    """Train/test split drawn from one stream (paper-scale: 45000/5000)."""
+    _check_sizes(n_train, n_test)
     return generate_adding(n_train + n_test, seq_len, seed).split(n_train)
 
 
@@ -167,9 +172,13 @@ def _read_idx(path, expected_magic: int, ndim: int) -> np.ndarray:
 def load_mnist_idx(images_path, labels_path) -> Dataset:
     """IDX image/label pair -> sequences of image rows, kept as the file's uint8 pixels.
 
-    A label outside the ten digit classes is a FormatError naming its byte offset.
+    Images with no rows or no columns, and a label outside the ten digit classes
+    (named by its byte offset), are FormatErrors.
     """
     images = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
+    rows, cols = images.shape[1:]
+    if rows == 0 or cols == 0:
+        raise FormatError(f"{images_path}: images of {rows}x{cols} pixels: need at least one row and one column")
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if images.shape[0] != labels.shape[0]:
         raise FormatError(
@@ -180,6 +189,32 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
         k = int(bad[0])  # its byte follows the 8-byte header: magic and count
         raise FormatError(f"{labels_path}: label {labels[k]} at offset {8 + k} is not a digit class 0-9")
     return Dataset(images, labels.astype(np.int64), "mnist")
+
+
+def mnist_splits(
+    images, labels, n_train: int, n_test: int, test_images=None, test_labels=None
+) -> tuple[Dataset, Dataset]:
+    """Training and evaluation splits of IDX files, each a copy of just the images it uses.
+
+    The evaluation split is the first ``n_test`` images of the test pair when
+    ``test_images`` is given, else of the images after the first ``n_train``.
+    The loaded files are dropped on return, so a run holds what it trains and
+    evaluates on, not every image of the files. A split left empty, or half a
+    test pair, is a ValueError.
+    """
+    _check_sizes(n_train, n_test)
+    if (test_images is None) != (test_labels is None):
+        raise ValueError("test_images and test_labels go together: give both or neither")
+    train, held_out = load_mnist_idx(images, labels).split(n_train)
+    if test_images is not None:
+        held_out = load_mnist_idx(test_images, test_labels)
+    evaluation = held_out.subset(n_test)
+    if len(train) == 0 or len(evaluation) == 0:
+        raise ValueError(
+            f"--train-size {n_train} and --test-size {n_test} leave "
+            f"{len(train)} training and {len(evaluation)} evaluation images"
+        )
+    return tuple(Dataset(ds.inputs.copy(), ds.targets.copy(), ds.task) for ds in (train, evaluation))
 
 
 def write_idx_images(path, images: np.ndarray) -> None:

@@ -6,7 +6,10 @@ import pkgutil
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import specto
+import specto.rnn
 
 SRC = Path(specto.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -117,3 +120,38 @@ def test_every_public_name_is_used():
         if outside == 0:
             unused.append(f"{path.relative_to(SRC)}:{node.lineno} {node.name}")
     assert not unused, "public names nothing references:\n" + "\n".join(unused)
+
+
+def _star_imported(package):
+    """The modules a package's ``__init__`` star-imports, in import order."""
+    tree = ast.parse(Path(package.__file__).read_text(encoding="utf-8"))
+    return [
+        importlib.import_module(f".{node.module}", package.__name__)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"]
+    ]
+
+
+PACKAGES = [specto, specto.rnn]
+
+
+@pytest.mark.parametrize("package", PACKAGES, ids=lambda p: p.__name__)
+def test_every_star_imported_module_declares_all(package):
+    # without one, a star import would export numpy as np and every name the module imports
+    modules = _star_imported(package)
+    assert modules
+    assert [m.__name__ for m in modules if "__all__" not in vars(m)] == []
+
+
+def test_no_name_is_exported_by_two_modules():
+    owners = Counter(name for package in PACKAGES for m in _star_imported(package) for name in m.__all__)
+    assert [name for name, count in owners.items() if count > 1] == []
+
+
+@pytest.mark.parametrize("package", PACKAGES, ids=lambda p: p.__name__)
+def test_package_exports_exactly_its_modules_exports(package):
+    expected = [name for m in _star_imported(package) for name in m.__all__]
+    if package is specto:
+        expected.append("__version__")
+    assert sorted(package.__all__) == sorted(expected)
+    assert len(set(package.__all__)) == len(package.__all__)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -94,7 +95,7 @@ class TestAnalyze:
         assert run(["analyze", identity_csv, "--out", tmp_path / "o", "--eps", "0.5,0.1"]) == 2
 
     @pytest.mark.parametrize("command", ["analyze", "compare"])
-    @pytest.mark.parametrize("eps", ["nan", "0.1,inf"])
+    @pytest.mark.parametrize("eps", ["nan", "0.1,inf", ""])  # "" lists no level, like ","
     def test_non_finite_eps_exit_2_before_any_output(self, tmp_path, identity_csv, capsys, command, eps):
         inputs = [identity_csv] * (1 if command == "analyze" else 2)
         out = tmp_path / "o"
@@ -572,6 +573,47 @@ class TestFailuresWriteNothing:
         assert sorted(tmp_path.rglob("*")) == before
         assert (tmp_path / "F").read_text() == "a file\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "w.csv", "--out", "F"],
+            ["analyze", "w.csv", "--out", "F/sub"],
+            ["compare", "w.csv", "w.csv", "--out", "F"],
+            ["compare", "w.csv", "w.csv", "--out", "F/sub"],
+        ],
+    )
+    def test_unusable_out_fails_before_any_input_is_loaded(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "load_matrix_any", lambda *args: pytest.fail("input loaded"))
+        monkeypatch.setattr(cli, "compute_fields", lambda *args, **kwargs: pytest.fail("fields computed"))
+        (tmp_path / "w.csv").write_text("0.5,1\n0,0.25\n")
+        (tmp_path / "F").write_text("a file\n")
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("specto: input error:") and captured.err.count("\n") == 1
+        assert "'F'" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "w.csv"]
+        assert (tmp_path / "F").read_text() == "a file\n"
+
+    @pytest.mark.parametrize("shape", [(20, 28, 0), (20, 0, 28)])  # no columns, no rows
+    def test_train_mnist_images_without_pixels(self, tmp_path, capsys, shape):
+        ipath, lpath = tmp_path / "i.idx", tmp_path / "l.idx"
+        write_idx_images(ipath, np.zeros(shape, dtype=np.uint8))
+        write_idx_labels(lpath, np.zeros(shape[0], dtype=np.uint8))
+        out = tmp_path / "o"
+        argv = ["train", "--task", "mnist", "--kind", "rnn", "--hidden", "2", "--epochs", "1",
+                "--train-size", "10", "--test-size", "10", "--mnist-images", ipath, "--mnist-labels", lpath,
+                "--out", out]
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        size = f"{shape[1]}x{shape[2]}"
+        assert captured.err == (
+            f"specto: input error: {ipath}: images of {size} pixels: need at least one row and one column\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("out", ["F", "F/sub"])
     def test_train_unusable_out_fails_before_training(self, tmp_path, capsys, monkeypatch, out):
         monkeypatch.chdir(tmp_path)
@@ -785,6 +827,34 @@ class TestTrain:
         assert not out.exists()
 
 
+class TestFlagsAreConfigFields:
+    """Each train and stabilize flag's destination is the name of the config field it sets."""
+
+    @pytest.mark.parametrize(
+        "argv, cls",
+        [(["train", "--task", "adding", "--out", "o"], TrainConfig), (["stabilize", "a", "b"], StabilizerConfig)],
+    )
+    def test_every_config_field_is_a_flag_destination(self, argv, cls):
+        flags = vars(cli.build_parser().parse_args(argv))
+        assert [f.name for f in dataclasses.fields(cls) if f.name not in flags] == []
+        # the flag defaults are the config defaults
+        assert cls(**{f.name: flags[f.name] for f in dataclasses.fields(cls)}) == cls()
+
+    def test_renamed_destinations_reach_the_config(self, tmp_path, monkeypatch):
+        seen, train = [], cli.train
+
+        def capturing(cfg, *args, **kwargs):
+            seen.append(cfg)
+            return train(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", capturing)
+        argv = ["train", "--task", "adding", "--out", tmp_path / "o", "--train-size", "8", "--test-size", "4",
+                "--seq-len", "4", "--epochs", "1", "--hidden", "2", "--snapshot-every", "0",
+                "--lr", "0.3", "--clip", "0.5"]
+        assert run(argv) == 0
+        assert (seen[0].learning_rate, seen[0].grad_clip) == (0.3, 0.5)
+
+
 class TestDeterminism:
     def test_train_then_analyze_byte_identical(self, tmp_path):
         blobs = []
@@ -876,7 +946,42 @@ _CSV_TEXT = st.one_of(
 )
 
 
+@st.composite
+def _idx_pairs(draw):
+    """An IDX image/label pair with small dims, 0 included, its payloads maybe cut short or extended."""
+    n, rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    n_labels = draw(st.one_of(st.just(n), st.integers(0, 6)))
+    pixels = bytes(draw(st.lists(st.integers(0, 255), min_size=n * rows * cols, max_size=n * rows * cols)))
+    digits = draw(st.lists(st.integers(0, 9), min_size=n_labels, max_size=n_labels))
+    if digits and draw(st.booleans()):  # a label byte above 9
+        digits[draw(st.integers(0, n_labels - 1))] = draw(st.integers(10, 255))
+
+    def resized(data):  # as written, one byte short or one byte long
+        return draw(st.sampled_from([data, data, data[:-1], data + b"\x00"]))
+
+    images = resized(struct.pack(">4I", 0x803, n, rows, cols) + pixels)
+    labels = resized(struct.pack(">2I", 0x801, n_labels) + bytes(digits))
+    return images, labels, draw(st.integers(1, 3)), draw(st.integers(1, 2))
+
+
 class TestFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(_idx_pairs())
+    def test_train_mnist_any_idx_pair(self, case):
+        images, labels, n_train, n_test = case
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, redirect_stderr(err), redirect_stdout(io.StringIO()):
+            ipath, lpath = Path(tmp) / "i.idx", Path(tmp) / "l.idx"
+            ipath.write_bytes(images)
+            lpath.write_bytes(labels)
+            argv = ["train", "--task", "mnist", "--kind", "rnn", "--hidden", "2", "--epochs", "1",
+                    "--snapshot-every", "0", "--train-size", n_train, "--test-size", n_test,
+                    "--mnist-images", ipath, "--mnist-labels", lpath, "--out", Path(tmp) / "o"]
+            code = run(argv)
+        assert code in (0, 2, 3, 4)
+        assert err.getvalue().count("\n") == (code != 0)  # one line per failure, no traceback
+
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.one_of(

@@ -13,6 +13,7 @@ from specto.rnn import (
     adding_splits,
     generate_adding,
     load_mnist_idx,
+    mnist_splits,
     synthetic_digits,
     write_idx_images,
     write_idx_labels,
@@ -88,6 +89,12 @@ class TestIdx:
         ds = load_mnist_idx(*self._write_pair(tmp_path, images, np.zeros(1, dtype=np.uint8)))
         np.testing.assert_array_equal(ds.batch(np.arange(1))[0], np.zeros((28, 28)))
 
+    @pytest.mark.parametrize("shape", [(3, 28, 0), (3, 0, 28), (0, 0, 0)])
+    def test_images_without_pixels(self, tmp_path, shape):
+        ipath, lpath = self._write_pair(tmp_path, np.zeros(shape, dtype=np.uint8), np.zeros(shape[0], dtype=np.uint8))
+        with pytest.raises(FormatError, match=rf"imgs\.idx: images of {shape[1]}x{shape[2]} pixels: need at least one"):
+            load_mnist_idx(ipath, lpath)
+
     def test_bad_magic(self, tmp_path, rng):
         ipath, lpath = self._write_pair(
             tmp_path,
@@ -162,6 +169,48 @@ class TestIdx:
         assert ds.inputs.dtype == np.uint8 and ds.inputs.nbytes == 600 * 28 * 28
         assert ds.inputs.tobytes() == images.tobytes()
         assert peak <= 1.25 * ipath.stat().st_size
+
+
+class TestMnistSplits:
+    @pytest.fixture
+    def pair(self, tmp_path):
+        images, labels = synthetic_digits(30, seed=0, size=8)
+        write_idx_images(tmp_path / "i.idx", images)
+        write_idx_labels(tmp_path / "l.idx", labels)
+        return tmp_path / "i.idx", tmp_path / "l.idx", images, labels
+
+    def test_evaluates_on_the_images_after_the_training_split(self, pair):
+        ipath, lpath, images, labels = pair
+        train, evaluation = mnist_splits(ipath, lpath, 20, 6)
+        assert train.inputs.tobytes() == images[:20].tobytes()
+        assert evaluation.inputs.tobytes() == images[20:26].tobytes()
+        np.testing.assert_array_equal(evaluation.targets, labels[20:26])
+        for ds in (train, evaluation):
+            assert ds.task == "mnist" and ds.inputs.flags.owndata and ds.targets.flags.owndata
+
+    def test_evaluates_on_the_test_pair(self, pair):
+        ipath, lpath, images, labels = pair
+        train, evaluation = mnist_splits(ipath, lpath, 30, 4, ipath, lpath)
+        assert len(train) == 30
+        assert evaluation.inputs.tobytes() == images[:4].tobytes()
+        assert evaluation.inputs.flags.owndata
+
+    @pytest.mark.parametrize("n_train, n_test", [(0, 5), (5, 0), (-1, 5)])
+    def test_sizes_must_be_positive(self, pair, n_train, n_test):
+        with pytest.raises(ValueError, match="sizes must be positive") as raised:
+            mnist_splits(*pair[:2], n_train, n_test)
+        with pytest.raises(ValueError, match="sizes must be positive") as same:
+            adding_splits(n_train, n_test, 4)
+        assert str(raised.value) == str(same.value)
+
+    @pytest.mark.parametrize("half", [{"test_images": "i.idx"}, {"test_labels": "l.idx"}])
+    def test_test_pair_goes_together(self, pair, half):
+        with pytest.raises(ValueError, match="give both or neither"):
+            mnist_splits(*pair[:2], 20, 5, **half)
+
+    def test_empty_evaluation_split(self, pair):
+        with pytest.raises(ValueError, match="leave 30 training and 0 evaluation images"):
+            mnist_splits(*pair[:2], 30, 5)
 
 
 class TestSyntheticDigits:
