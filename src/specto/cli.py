@@ -22,7 +22,8 @@ seeds reproduce identical bytes whatever the BLAS thread settings.
 seconds from the start of the shared field phase to the end of that
 matrix's report, and its evaluated grid nodes, in one format for every
 worker count, and leaves the outputs alone. An input error is a malformed or non-square
-matrix file, or a path that cannot be read or written.
+matrix file, or a path that cannot be read or written; a size past
+memory, such as a huge --seq-len or grid, is a usage error.
 """
 
 from __future__ import annotations
@@ -387,6 +388,9 @@ def main(argv=None) -> int:
         return 4
     except ValueError as exc:
         print(f"specto: usage error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size past memory, such as a huge --seq-len or grid
+        print(f"specto: usage error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -151,7 +151,11 @@ def init_cell(
 # cache. Backward turns that cache in place into the derivative factors, then
 # into the gate deltas da, so it holds no copy of its own; after the time loop
 # the [W | U | b] gradient over an operand is one sum over the (T*B) columns
-# of da and that operand.
+# of da and that operand, taken in chunks of steps.
+#
+# Every array of a call that grows with T*B comes from `_buffer`, under its
+# role in the caller's `work` dict when one is given, so a training loop that
+# passes one dict allocates them once per shape instead of once per batch.
 # ---------------------------------------------------------------------------
 
 # Fused row order: sigmoid gates first; in the LSTM the three gates whose
@@ -179,30 +183,73 @@ def _augmented(cell: CellParams) -> np.ndarray:
     return w
 
 
-def _operand(inputs: np.ndarray, hidden: int, slots: int) -> np.ndarray:
+# Doubles in the product chunk of `_column_sums` (256 KiB, more only when one
+# step's products need it): the gradient sums form as many steps' products at
+# a time as fit. One product over all steps, (T, G*hidden, hidden+input+1),
+# would be a training batch's largest temporary (1.8 MB for the default LSTM).
+_SUM_SCALARS = 1 << 15
+
+
+def _buffer(work: dict | None, role: str, shape: tuple) -> np.ndarray:
+    """An uninitialised float64 array of ``shape``: ``work[role]`` when it has that shape.
+
+    Without a dict every call allocates. A dict's array of another shape is
+    dropped before its replacement is allocated, so the two never coexist.
+    """
+    if work is None:
+        return np.empty(shape)
+    if role not in work or work[role].shape != shape:
+        work.pop(role, None)
+        work[role] = np.empty(shape)
+    return work[role]
+
+
+def _operand(inputs: np.ndarray, hidden: int, slots: int, work: dict | None, role: str) -> np.ndarray:
     """(slots, hidden+input+1, B) operand: rows hidden: of slot t < T hold [u_t; 1].
 
     Rows :hidden are left for the caller's states; a slot past the last
     step holds only a state.
     """
     bsz, steps, d = inputs.shape
-    v = np.empty((slots, hidden + d + 1, bsz))
+    v = _buffer(work, role, (slots, hidden + d + 1, bsz))
     v[:steps, hidden:-1] = inputs.transpose(1, 2, 0)
     v[:, -1] = 1.0
     return v
 
 
-def _column_sums(da: np.ndarray, operand: np.ndarray) -> np.ndarray:
-    """sum_t da_t operand_t^T over all (T*B) columns: (rows of da, rows of operand)."""
-    return np.matmul(da, operand.transpose(0, 2, 1)).sum(axis=0)
+def _weight_grads(cell: CellParams, work: dict | None):
+    """A fresh (G*hidden, hidden+input+1) [W | U | b] gradient and the product buffer that fills it."""
+    dw = np.empty((len(cell.gates) * cell.hidden, cell.hidden + cell.input_dim + 1))
+    return dw, _buffer(work, "sums", (max(_SUM_SCALARS, dw.size),))
 
 
-def _rnn_forward(cell, inputs):
+def _column_sums(da: np.ndarray, operand: np.ndarray, out: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """sum_t da_t operand_t^T over all (T*B) columns into ``out``: (rows of da, rows of operand).
+
+    The products of as many steps as the flat ``sums`` holds are formed at a
+    time, and the running sum is added into each chunk's first product, so
+    ``out`` is bitwise the sequential sum ``np.matmul(da, operandᵀ).sum(axis=0)``.
+    """
+    steps, rows, _ = da.shape
+    cols = operand.shape[1]
+    chunk = sums.size // (rows * cols)
+    out[...] = 0.0  # T = 0 has no products
+    for lo in range(0, steps, chunk):
+        hi = min(lo + chunk, steps)
+        prod = sums[: (hi - lo) * rows * cols].reshape(hi - lo, rows, cols)
+        np.matmul(da[lo:hi], operand[lo:hi].transpose(0, 2, 1), out=prod)
+        if lo:
+            prod[0] += out
+        prod.sum(axis=0, out=out)
+    return out
+
+
+def _rnn_forward(cell, inputs, work):
     bsz, steps, _ = inputs.shape
     n = cell.hidden
     w = _augmented(cell)
-    v = _operand(inputs, n, steps)
-    x = np.empty((steps + 1, n, bsz))
+    v = _operand(inputs, n, steps, work, "v")
+    x = _buffer(work, "x", (steps + 1, n, bsz))
     x[0] = 0.0
     for t in range(steps):
         np.tanh(x[t], out=v[t, :n])
@@ -210,7 +257,7 @@ def _rnn_forward(cell, inputs):
     return x, {"x": x, "v": v}
 
 
-def _rnn_backward(cell, cache, dh):
+def _rnn_backward(cell, cache, dh, work):
     x, v = cache["x"], cache["v"]
     s = v[:, : cell.hidden]  # tanh(x_t) for t < T
     deriv = np.multiply(s, s, out=x[:-1])  # x_0..x_{T-1} are spent: reuse them
@@ -220,19 +267,20 @@ def _rnn_backward(cell, cache, dh):
     wt = cell.w_rec["recurrent"].T
     for t in range(v.shape[0] - 1, 0, -1):
         np.multiply(np.dot(wt, da[t]), deriv[t], out=da[t - 1])
-    return _column_sums(da, v)
+    return _column_sums(da, v, *_weight_grads(cell, work))
 
 
-def _lstm_forward(cell, inputs):
+def _lstm_forward(cell, inputs, work):
     # fused rows: output, input, forget (sigmoid), cell candidate z (tanh)
     bsz, steps, _ = inputs.shape
     n = cell.hidden
     w = _augmented(cell)
-    v = _operand(inputs, n, steps + 1)
+    v = _operand(inputs, n, steps + 1, work, "v")
     h = v[:, :n]
     h[0] = 0.0
-    act = np.empty((steps, 4 * n, bsz))
-    c = np.zeros((steps + 1, n, bsz))
+    act = _buffer(work, "act", (steps, 4 * n, bsz))
+    c = _buffer(work, "c", (steps + 1, n, bsz))
+    c[0] = 0.0
     for t in range(steps):
         a = act[t]
         np.dot(w, v[t], out=a)
@@ -247,7 +295,7 @@ def _lstm_forward(cell, inputs):
     return h, {"v": v, "c": c, "act": act}
 
 
-def _lstm_backward(cell, cache, dh):
+def _lstm_backward(cell, cache, dh, work):
     v, c, act = cache["v"], cache["c"], cache["act"]
     steps, _, bsz = act.shape
     n = cell.hidden
@@ -255,8 +303,8 @@ def _lstm_backward(cell, cache, dh):
     # Derivative factors, over the gate values in place: o -> tanh(c) o (1-o),
     # i -> z i (1-i), f -> c_prev f (1-f), z -> i (1-z^2). keep_f holds f and
     # into_c the factor o (1-tanh^2 c) that carries dh into dc.
-    tc = np.tanh(c[1:])
-    into_c = np.multiply(tc, tc)
+    tc = np.tanh(c[1:], out=_buffer(work, "tanh_c", o.shape))
+    into_c = np.multiply(tc, tc, out=_buffer(work, "into_c", o.shape))
     np.subtract(1.0, into_c, out=into_c)
     into_c *= o
     tc *= o
@@ -286,21 +334,21 @@ def _lstm_backward(cell, cache, dh):
         if t:
             dh = np.dot(wt, da)
             dc *= keep_f[t]
-    return _column_sums(act, v[:-1])
+    return _column_sums(act, v[:-1], *_weight_grads(cell, work))
 
 
-def _gru_forward(cell, inputs):
+def _gru_forward(cell, inputs, work):
     # fused rows: reset r, update z (sigmoid), candidate n (tanh on W_n (r*h));
     # q is the candidate's operand [r*h; u; 1]
     bsz, steps, _ = inputs.shape
     n = cell.hidden
     w = _augmented(cell)
     w_rz, w_n = w[: 2 * n], w[2 * n :]
-    v = _operand(inputs, n, steps + 1)
-    q = _operand(inputs, n, steps)
+    v = _operand(inputs, n, steps + 1, work, "v")
+    q = _operand(inputs, n, steps, work, "q")
     h = v[:, :n]
     h[0] = 0.0
-    act = np.empty((steps, 3 * n, bsz))
+    act = _buffer(work, "act", (steps, 3 * n, bsz))
     for t in range(steps):
         a = act[t]
         rz, cand = a[: 2 * n], a[2 * n :]
@@ -318,7 +366,7 @@ def _gru_forward(cell, inputs):
     return h, {"v": v, "q": q, "act": act}
 
 
-def _gru_backward(cell, cache, dh):
+def _gru_backward(cell, cache, dh, work):
     v, q, act = cache["v"], cache["q"], cache["act"]
     steps, _, bsz = act.shape
     n = cell.hidden
@@ -326,10 +374,12 @@ def _gru_backward(cell, cache, dh):
     r, z, cand = act[:, :n], act[:, n : 2 * n], act[:, 2 * n :]
     # Derivative factors, over the gate values in place: r -> h r (1-r),
     # z -> (h - n) z (1-z), n -> (1-z)(1-n^2); keep_r and keep_z hold r and z.
-    keep_r, keep_z = r.copy(), z.copy()
+    keep_r, keep_z = _buffer(work, "keep_r", r.shape), _buffer(work, "keep_z", z.shape)
+    np.copyto(keep_r, r)
+    np.copyto(keep_z, z)
     np.subtract(1.0, r, out=r)
     r *= q[:, :n]  # r*h
-    diff = hp - cand
+    diff = np.subtract(hp, cand, out=_buffer(work, "diff", hp.shape))
     diff *= keep_z
     np.subtract(1.0, z, out=z)
     np.multiply(cand, cand, out=cand)
@@ -350,24 +400,30 @@ def _gru_backward(cell, cache, dh):
             dh_prev += dh * keep_z[t]
             dh_prev += dhr * keep_r[t]
             dh = dh_prev
-    return np.concatenate((_column_sums(act[:, : 2 * n], v[:-1]), _column_sums(act[:, 2 * n :], q)))
+    dw, sums = _weight_grads(cell, work)
+    _column_sums(act[:, : 2 * n], v[:-1], dw[: 2 * n], sums)
+    _column_sums(act[:, 2 * n :], q, dw[2 * n :], sums)
+    return dw
 
 
 _FORWARD = {"rnn": _rnn_forward, "lstm": _lstm_forward, "gru": _gru_forward}
 _BACKWARD = {"rnn": _rnn_backward, "lstm": _lstm_backward, "gru": _gru_backward}
 
 
-def forward_batch(cell: CellParams, inputs: np.ndarray):
+def forward_batch(cell: CellParams, inputs: np.ndarray, work: dict | None = None):
     """States (T+1, B, hidden), readout logits (B, output), cache.
 
     The cache is private to this module: it holds what the matching
-    backward pass needs.
+    backward pass needs. ``work``, a dict the caller keeps between calls,
+    lends this call its large arrays (see `batch_loss_and_grads`); the
+    states are then views into it, valid until its next use, while the
+    logits are always fresh.
     """
     if inputs.ndim != 3 or inputs.shape[2] != cell.input_dim:
         raise ValueError(
             f"inputs must be (batch, time, {cell.input_dim}), got {inputs.shape}"
         )
-    hidden_major, cache = _FORWARD[cell.kind](cell, inputs)
+    hidden_major, cache = _FORWARD[cell.kind](cell, inputs, work)
     states = hidden_major.transpose(0, 2, 1)
     logits = states[-1] @ cell.w_out.T + cell.b_out
     return states, logits, cache
@@ -398,12 +454,23 @@ def _loss_and_dlogits(logits: np.ndarray, targets: np.ndarray, task: str):
     raise ValueError(f"unknown task {task!r}")
 
 
-def batch_loss_and_grads(cell: CellParams, inputs: np.ndarray, targets: np.ndarray, task: str):
-    """Mean terminal loss over the batch and exact gradients for every parameter."""
-    states, logits, cache = forward_batch(cell, inputs)
+def batch_loss_and_grads(
+    cell: CellParams, inputs: np.ndarray, targets: np.ndarray, task: str, work: dict | None = None
+):
+    """Mean terminal loss over the batch and exact gradients for every parameter.
+
+    ``work`` is an optional dict, kept by the caller between calls, that holds
+    the call's large arrays under their roles: the activation cache, the
+    operands, the LSTM cell states, the backward factors and the product
+    chunk of the weight-gradient sums. An array is reallocated only when its
+    shape changes, so a training loop that passes one dict allocates them
+    once per batch shape, not once per batch. The returned gradients never
+    alias it. Without a dict each call allocates its own.
+    """
+    states, logits, cache = forward_batch(cell, inputs, work)
     value, dlogits = _loss_and_dlogits(logits, np.asarray(targets), task)
     dw_out, db_out = dlogits.T @ states[-1], dlogits.sum(axis=0)  # backward overwrites the cache
-    dw = _BACKWARD[cell.kind](cell, cache, cell.w_out.T @ dlogits.T)
+    dw = _BACKWARD[cell.kind](cell, cache, cell.w_out.T @ dlogits.T, work)
     n, width = cell.hidden, cell.hidden + cell.input_dim
     rows = {g: dw[k * n : (k + 1) * n] for k, g in enumerate(_FUSED_ORDER[cell.kind])}
     grads = {}
@@ -433,7 +500,8 @@ def predictions(cell: CellParams, data) -> np.ndarray:
     """Readout logits of every sequence of the ``Dataset`` ``data``, in memory-bounded passes.
 
     Each pass builds its float64 inputs with ``data.batch`` and keeps only
-    the logits of its forward pass, so one pass's buffers are alive at a time.
+    the logits of its forward pass. The passes share one ``work`` dict, so
+    one pass's buffers are alive at a time and are allocated once per size.
     """
     # Per sequence and step a pass holds G*hidden gate activations (the RNN:
     # its states) and an operand column of hidden+input+1, plus the GRU's
@@ -442,8 +510,9 @@ def predictions(cell: CellParams, data) -> np.ndarray:
     width = cell.hidden + cell.input_dim + 1
     chunk = max(1, _EVAL_SCALARS // ((steps + 1) * (len(cell.gates) * cell.hidden + 2 * width)))
     outs = [np.empty((0, cell.w_out.shape[0]))]  # the logits of an empty dataset
+    work = {}
     for lo in range(0, len(data), chunk):
-        outs.append(forward_batch(cell, data.batch(slice(lo, lo + chunk)))[1])
+        outs.append(forward_batch(cell, data.batch(slice(lo, lo + chunk)), work)[1])
     return np.concatenate(outs, axis=0)
 
 

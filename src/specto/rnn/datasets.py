@@ -182,7 +182,8 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if images.shape[0] != labels.shape[0]:
         raise FormatError(
-            f"image/label count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
+            f"image/label count mismatch: {images.shape[0]} images in {images_path}, "
+            f"{labels.shape[0]} labels in {labels_path}"
         )
     bad = np.flatnonzero(labels > 9)
     if bad.size:
@@ -211,7 +212,7 @@ def mnist_splits(
     evaluation = held_out.subset(n_test)
     if len(train) == 0 or len(evaluation) == 0:
         raise ValueError(
-            f"--train-size {n_train} and --test-size {n_test} leave "
+            f"training size {n_train} and test size {n_test} leave "
             f"{len(train)} training and {len(evaluation)} evaluation images"
         )
     return tuple(Dataset(ds.inputs.copy(), ds.targets.copy(), ds.task) for ds in (train, evaluation))

@@ -102,6 +102,9 @@ def train(
     ``eval_data``, which must have the same task. Each minibatch is built
     with ``train_data.batch`` as it is used, and each evaluation pass with
     ``eval_data.batch``, so the float64 arrays held at once are one batch's.
+    The batches share one ``work`` dict of kernel buffers, emptied before
+    each evaluation, so training and evaluation buffers are never alive
+    together.
     ``on_epoch(cell, record)`` runs after each epoch (snapshot hook). A
     non-finite loss aborts with TrainingDiverged.
     """
@@ -125,13 +128,14 @@ def train(
         memory_bias=cfg.memory_bias,
     )
     history: list[EpochRecord] = []
+    work: dict = {}
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(n)
         loss_sum = 0.0
         with np.errstate(over="ignore", invalid="ignore"):  # the non-finite loss check reports divergence
             for lo in range(0, n, cfg.batch):
                 idx = perm[lo : lo + cfg.batch]
-                loss_val, grads = batch_loss_and_grads(cell, train_data.batch(idx), targets[idx], task)
+                loss_val, grads = batch_loss_and_grads(cell, train_data.batch(idx), targets[idx], task, work)
                 if not np.isfinite(loss_val):
                     raise TrainingDiverged(f"loss became {loss_val} in epoch {epoch}")
                 loss_sum += loss_val * len(idx)
@@ -141,6 +145,7 @@ def train(
                     arr -= cfg.learning_rate * grads[name]
         if cfg.stabilize is not None:
             _stabilize_gates(cell, cfg.stabilize, cfg.seed, epoch)
+        work.clear()
         acc = accuracy(cell, eval_data)
         reports = {
             g: build_matrix_report(f"{cfg.kind}-{g}", Matrix(cell.w_rec[g])) for g in cell.gates

@@ -614,6 +614,40 @@ class TestFailuresWriteNothing:
         )
         assert not out.exists()
 
+    def test_train_mnist_count_mismatch_names_both_files(self, tmp_path, capsys):
+        ipath, lpath = tmp_path / "i.idx", tmp_path / "l.idx"
+        write_idx_images(ipath, np.zeros((2, 3, 3), dtype=np.uint8))
+        write_idx_labels(lpath, np.zeros(4, dtype=np.uint8))
+        out = tmp_path / "o"
+        argv = ["train", "--task", "mnist", "--train-size", "1", "--test-size", "1",
+                "--mnist-images", ipath, "--mnist-labels", lpath, "--out", out]
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"specto: input error: image/label count mismatch: 2 images in {ipath}, 4 labels in {lpath}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # arrays past the 128 TiB address space: the allocation fails at once
+            ["train", "--task", "adding", "--train-size", "20", "--test-size", "2",
+             "--seq-len", "1000000000000000", "--out", "o"],
+            ["analyze", "w.csv", "--nx", "5000000", "--ny", "5000000", "--out", "o"],
+        ],
+        ids=("train-seq-len", "analyze-grid"),
+    )
+    def test_size_past_memory_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "w.csv").write_text("0.5,1\n0,0.25\n")
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("specto: usage error: Unable to allocate") and captured.err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.csv"]
+
     @pytest.mark.parametrize("out", ["F", "F/sub"])
     def test_train_unusable_out_fails_before_training(self, tmp_path, capsys, monkeypatch, out):
         monkeypatch.chdir(tmp_path)

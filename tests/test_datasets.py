@@ -128,6 +128,12 @@ class TestIdx:
         with pytest.raises(FormatError, match="count mismatch"):
             load_mnist_idx(ipath, lpath)
 
+    def test_count_mismatch_names_both_files(self, tmp_path):
+        ipath, lpath = self._write_pair(tmp_path, np.zeros((2, 4, 4), dtype=np.uint8), np.zeros(4, dtype=np.uint8))
+        with pytest.raises(FormatError) as info:
+            load_mnist_idx(ipath, lpath)
+        assert str(info.value) == f"image/label count mismatch: 2 images in {ipath}, 4 labels in {lpath}"
+
     def test_header_count_past_the_int64_range(self, tmp_path):
         # 2**31 * 2**31 * 4 image bytes wrap to 0 in an int64 product, which a bare header matches
         ipath, lpath = self._write_pair(tmp_path, np.zeros((0, 1, 1), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
@@ -211,6 +217,11 @@ class TestMnistSplits:
     def test_empty_evaluation_split(self, pair):
         with pytest.raises(ValueError, match="leave 30 training and 0 evaluation images"):
             mnist_splits(*pair[:2], 30, 5)
+
+    def test_empty_split_message_names_the_arguments_not_flags(self, pair):
+        with pytest.raises(ValueError) as raised:
+            mnist_splits(*pair[:2], 30, 5)
+        assert str(raised.value) == "training size 30 and test size 5 leave 30 training and 0 evaluation images"
 
 
 class TestSyntheticDigits:

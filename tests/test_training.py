@@ -6,7 +6,8 @@ import pytest
 
 from specto import Matrix, StabilizerConfig, TrainingDiverged, stabilize
 from specto.report import emit
-from specto.rnn import Dataset, TrainConfig, generate_adding, init_cell, param_items, train
+import specto.rnn.training as training
+from specto.rnn import Dataset, TrainConfig, batch_loss_and_grads, generate_adding, init_cell, param_items, train
 
 
 def small_adding(n=600, seq_len=12, seed=0):
@@ -168,3 +169,23 @@ class TestTrainingMechanics:
         never, _ = train(small_cfg(grad_clip=1e300), data, data)
         for (_, x), (_, y) in zip(param_items(off), param_items(never)):
             assert np.array_equal(x, y)
+
+    def test_batches_share_one_work_dict_emptied_before_each_evaluation(self, monkeypatch):
+        dicts, evaluated = [], []
+
+        def batch(*args):
+            dicts.append(args[-1])
+            result = batch_loss_and_grads(*args)
+            assert args[-1], "the batch's buffers stay in the dict"
+            return result
+
+        def evaluate(cell, data):
+            evaluated.append(dict(dicts[-1]))
+            return 0.5
+
+        monkeypatch.setattr(training, "batch_loss_and_grads", batch)
+        monkeypatch.setattr(training, "accuracy", evaluate)
+        data = small_adding(n=100)
+        train(small_cfg(epochs=2), data, data)
+        assert len(dicts) == 8 and all(d is dicts[0] for d in dicts)
+        assert evaluated == [{}, {}]
