@@ -21,9 +21,10 @@ seeds reproduce identical bytes whatever the BLAS thread settings.
 --timing prints to stderr whether that pin took and, for each matrix, the
 seconds from the start of the shared field phase to the end of that
 matrix's report, and its evaluated grid nodes, in one format for every
-worker count, and leaves the outputs alone. An input error is a malformed or non-square
-matrix file, or a path that cannot be read or written; a size past
-memory, such as a huge --seq-len or grid, is a usage error.
+worker count, and leaves the outputs alone. An input error is a malformed
+matrix file, a non-square one included (``containers`` rejects it), or a
+path that cannot be read or written; a size past memory, such as a huge
+--seq-len or grid, is a usage error.
 """
 
 from __future__ import annotations
@@ -121,14 +122,6 @@ def _grid_flags(sub):
     sub.add_argument("--workers", type=int, help="SVD workers shared by all matrices (default: cpu count)")
 
 
-def _load_square(path):
-    """(matrix, name) of a matrix file; a non-square matrix is an input error."""
-    m, name = load_matrix_any(path)
-    if not m.is_square:
-        raise FormatError(f"{name}: expected a square matrix, got {m.shape}")
-    return m, name
-
-
 def _check_out_dir(path: Path) -> None:
     """Fail as ``mkdir`` would if ``path`` or its nearest existing ancestor is not a directory; makes nothing."""
     for p in (path, *path.parents):
@@ -157,7 +150,7 @@ def cmd_analyze(args) -> int:
     _check_stability_tol(args.stability_tol)
     out_dir = Path(args.out)
     _check_out_dir(out_dir)
-    loaded = [_load_square(p) for p in args.inputs]
+    loaded = [load_matrix_any(p) for p in args.inputs]
     names = _unique_names(name for _, name in loaded)
     jobs = [(name, m, _grid_for(args, m)) for (m, _), name in zip(loaded, names)]
     if args.timing:
@@ -192,7 +185,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_stabilize(args) -> int:
-    m, name = _load_square(args.input)
+    m, name = load_matrix_any(args.input)
     result = stabilize(m, _config(StabilizerConfig, args))
     write_matrix_file(args.output, result.w_s, name)
     print(fmt_float(result.gain_estimate))
@@ -206,8 +199,8 @@ def cmd_compare(args) -> int:
     _check_stability_tol(args.stability_tol)
     out_dir = Path(args.out)
     _check_out_dir(out_dir)
-    before, before_name = _load_square(args.before)
-    after, after_name = _load_square(args.after)
+    before, before_name = load_matrix_any(args.before)
+    after, after_name = load_matrix_any(args.after)
     if before.shape != after.shape:
         raise FormatError(f"dimension mismatch: {before_name} is {before.shape}, {after_name} is {after.shape}")
     names = _unique_names([f"before-{before_name}", f"after-{after_name}"])

@@ -11,7 +11,9 @@ Container layout, all little-endian:
     footer       optional: u32 name length + UTF-8 name
 
 Readers verify the length arithmetic exactly and reject trailing bytes, so
-write(read(data)) == data for every accepted file.
+write(read(data)) == data for every accepted file. A ``Matrix`` is square,
+so both readers reject rows != cols as a FormatError (the container's at
+offset 8) before they build one.
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ def container_from_bytes(data: bytes, source: str = "<bytes>") -> MatrixContaine
         raise FormatError(f"{source}: unknown flag bits 0x{flags:04x} at offset 6")
     if rows < 1 or cols < 1:
         raise FormatError(f"{source}: non-positive dimensions {rows}x{cols} at offset 8")
+    if rows != cols:
+        raise FormatError(f"{source}: expected a square matrix, got {rows}x{cols} at offset 8")
     is_complex = bool(flags & FLAG_COMPLEX)
     count = rows * cols * (2 if is_complex else 1)
     payload_end = _HEADER.size + 8 * count
@@ -116,7 +120,7 @@ def write_matrix_file(path, matrix: Matrix, name: str | None = None) -> None:
 
 
 def parse_matrix_csv(path) -> Matrix:
-    """Comma-separated decimal floats, one matrix row per line."""
+    """Comma-separated decimal floats, one matrix row per line, as many rows as columns."""
     text = Path(path).read_text(encoding="utf-8")
     rows: list[list[float]] = []
     width = None
@@ -141,6 +145,8 @@ def parse_matrix_csv(path) -> Matrix:
         rows.append(values)
     if not rows:
         raise FormatError(f"{path}: no numeric rows")
+    if len(rows) != width:
+        raise FormatError(f"{path}: expected a square matrix, got {len(rows)}x{width}")
     return Matrix(rows)
 
 

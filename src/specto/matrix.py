@@ -31,9 +31,11 @@ __all__ = [
 
 
 class Matrix:
-    """Immutable dense matrix of complex128 entries.
+    """Immutable dense n x n matrix of complex128 entries, n >= 1.
 
-    Entries must all be finite; the backing array is write-locked so
+    Spectra, pseudospectra and non-normality are defined only for square
+    operators, so the constructor is the one place that rejects any other
+    shape. Entries must all be finite; the backing array is write-locked so
     instances are safe to share across threads. The Schur form and the
     singular values are computed on first use and cached (write-locked too).
     A Matrix does no arithmetic: compute on ``.array`` and wrap the result.
@@ -47,6 +49,8 @@ class Matrix:
             raise ValueError(f"matrix entries must be 2-D, got {a.ndim}-D")
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise ValueError(f"matrix dimensions must be positive, got {a.shape}")
+        if a.shape[0] != a.shape[1]:
+            raise ValueError(f"matrix must be square, got {a.shape[0]}x{a.shape[1]}")
         if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite (no NaN/Inf)")
         a.setflags(write=False)
@@ -56,7 +60,7 @@ class Matrix:
 
     @property
     def array(self) -> np.ndarray:
-        """Read-only view of the underlying (rows, cols) complex array."""
+        """Read-only view of the underlying (n, n) complex array."""
         return self._a
 
     @property
@@ -70,10 +74,6 @@ class Matrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self._a.shape
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
     @property
     def is_real(self) -> bool:
@@ -97,13 +97,8 @@ class SchurFactors:
     eigenvalues: np.ndarray
 
 
-def _require_square(m: Matrix, op: str) -> None:
-    if not m.is_square:
-        raise ValueError(f"{op} requires a square matrix, got {m.shape}")
-
-
 def singular_values(m: Matrix) -> np.ndarray:
-    """All min(rows, cols) singular values, descending (read-only, cached)."""
+    """All n singular values, descending (read-only, cached)."""
     if m._sv is None:
         try:
             sv = np.linalg.svd(m.array, compute_uv=False)
@@ -133,7 +128,6 @@ def spectral_radius(m: Matrix) -> float:
 
 def schur(m: Matrix) -> SchurFactors:
     """Complex Schur decomposition W = Q T Q*, T upper triangular (cached)."""
-    _require_square(m, "schur")
     if m._schur is None:
         try:
             t, q = complex_schur(m.array)
@@ -150,7 +144,6 @@ def schur(m: Matrix) -> SchurFactors:
 
 def mat_power_norms(m: Matrix, l_max: int) -> np.ndarray:
     """Spectral norms of W^0 .. W^l_max; entry 0 is exactly 1."""
-    _require_square(m, "mat_power_norms")
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
     norms = np.empty(l_max + 1)

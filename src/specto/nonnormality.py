@@ -37,8 +37,6 @@ def henrici_number(w: Matrix) -> float:
     Zero (within rounding) iff W is normal; the zero matrix, which is
     normal, reads 0.
     """
-    if not w.is_square:
-        raise ValueError(f"henrici_number requires a square matrix, got {w.shape}")
     v, _ = normalized(w.array)
     fro = float(np.linalg.norm(v))
     if fro == 0.0:

@@ -229,8 +229,6 @@ def _sigma_min_stack(a: np.ndarray, lams: np.ndarray, spare: queue.SimpleQueue |
 
 def sigma_min_at(w: Matrix, lam: complex) -> float:
     """sigma_min(W - lambda*I); zero exactly when lambda is an eigenvalue."""
-    if not w.is_square:
-        raise ValueError(f"sigma_min_at requires a square matrix, got {w.shape}")
     return float(_sigma_min_stack(w.array, np.array([lam], dtype=np.complex128))[0])
 
 
@@ -355,9 +353,6 @@ def compute_fields(jobs, levels=None, *, workers: int | None = None) -> list[Pse
     (``_blas``), so the fields do not depend on its thread count either.
     """
     jobs = list(jobs)
-    for w, _ in jobs:
-        if not w.is_square:
-            raise ValueError(f"compute_field requires a square matrix, got {w.shape}")
     if levels is not None:
         levels = check_levels(levels)
     nworkers = resolve_workers(workers)

@@ -228,6 +228,8 @@ def portrait_svg(panels, grid: GridSpec) -> str:
     legend of the first panel's levels stands right of the last panel, in a
     right margin wide enough for its longest label.
     """
+    if not panels:
+        raise ValueError("a portrait needs at least one panel")
     size, margin, gap = _PORTRAIT_SIZE, _PORTRAIT_MARGIN, _PORTRAIT_GAP
     levels = [] if panels[0][2] is None else panels[0][2].levels
     legend = [f"eps = {format(level, '.4g')}" for level in levels]

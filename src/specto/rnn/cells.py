@@ -154,8 +154,9 @@ def init_cell(
 # of da and that operand, taken in chunks of steps.
 #
 # Every array of a call that grows with T*B comes from `_buffer`, under its
-# role in the caller's `work` dict when one is given, so a training loop that
-# passes one dict allocates them once per shape instead of once per batch.
+# role in the call's `work` dict (a fresh one when the caller gives none), so
+# a training loop that passes one dict allocates them once per shape instead
+# of once per batch.
 # ---------------------------------------------------------------------------
 
 # Fused row order: sigmoid gates first; in the LSTM the three gates whose
@@ -190,21 +191,19 @@ def _augmented(cell: CellParams) -> np.ndarray:
 _SUM_SCALARS = 1 << 15
 
 
-def _buffer(work: dict | None, role: str, shape: tuple) -> np.ndarray:
+def _buffer(work: dict, role: str, shape: tuple) -> np.ndarray:
     """An uninitialised float64 array of ``shape``: ``work[role]`` when it has that shape.
 
-    Without a dict every call allocates. A dict's array of another shape is
-    dropped before its replacement is allocated, so the two never coexist.
+    A dict's array of another shape is dropped before its replacement is
+    allocated, so the two never coexist.
     """
-    if work is None:
-        return np.empty(shape)
     if role not in work or work[role].shape != shape:
         work.pop(role, None)
         work[role] = np.empty(shape)
     return work[role]
 
 
-def _operand(inputs: np.ndarray, hidden: int, slots: int, work: dict | None, role: str) -> np.ndarray:
+def _operand(inputs: np.ndarray, hidden: int, slots: int, work: dict, role: str) -> np.ndarray:
     """(slots, hidden+input+1, B) operand: rows hidden: of slot t < T hold [u_t; 1].
 
     Rows :hidden are left for the caller's states; a slot past the last
@@ -217,7 +216,7 @@ def _operand(inputs: np.ndarray, hidden: int, slots: int, work: dict | None, rol
     return v
 
 
-def _weight_grads(cell: CellParams, work: dict | None):
+def _weight_grads(cell: CellParams, work: dict):
     """A fresh (G*hidden, hidden+input+1) [W | U | b] gradient and the product buffer that fills it."""
     dw = np.empty((len(cell.gates) * cell.hidden, cell.hidden + cell.input_dim + 1))
     return dw, _buffer(work, "sums", (max(_SUM_SCALARS, dw.size),))
@@ -423,7 +422,7 @@ def forward_batch(cell: CellParams, inputs: np.ndarray, work: dict | None = None
         raise ValueError(
             f"inputs must be (batch, time, {cell.input_dim}), got {inputs.shape}"
         )
-    hidden_major, cache = _FORWARD[cell.kind](cell, inputs, work)
+    hidden_major, cache = _FORWARD[cell.kind](cell, inputs, {} if work is None else work)
     states = hidden_major.transpose(0, 2, 1)
     logits = states[-1] @ cell.w_out.T + cell.b_out
     return states, logits, cache
@@ -467,6 +466,7 @@ def batch_loss_and_grads(
     once per batch shape, not once per batch. The returned gradients never
     alias it. Without a dict each call allocates its own.
     """
+    work = {} if work is None else work
     states, logits, cache = forward_batch(cell, inputs, work)
     value, dlogits = _loss_and_dlogits(logits, np.asarray(targets), task)
     dw_out, db_out = dlogits.T @ states[-1], dlogits.sum(axis=0)  # backward overwrites the cache

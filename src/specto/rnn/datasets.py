@@ -295,5 +295,7 @@ def synthetic_digits(n: int, seed: int = 0, size: int = 28) -> tuple[np.ndarray,
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 10, n).astype(np.uint8)
     glyphs = [_glyph_blocks(digit, size) for digit in range(10)]
-    images = np.stack([_raster_digit(glyphs[lbl], rng, size) for lbl in labels])
+    images = np.empty((n, size, size), dtype=np.uint8)
+    for k, lbl in enumerate(labels):
+        images[k] = _raster_digit(glyphs[lbl], rng, size)
     return images, labels

@@ -85,8 +85,6 @@ def stabilize(w: Matrix, cfg: StabilizerConfig = StabilizerConfig()) -> Stabiliz
     W_s = B/g, which is bitwise W/(g·2^k) whenever that is finite and
     normal. A gain past the float range raises NumericalError.
     """
-    if not w.is_square:
-        raise ValueError(f"stabilize requires a square matrix, got {w.shape}")
     if not w.is_real:
         raise ValueError("stabilize requires a real-valued matrix")
     a = w.array.real

@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 from conftest import random_matrix
@@ -14,9 +17,14 @@ from specto import (
 )
 
 
+def _container(rows, cols):
+    """A real, unnamed version-1 container of a rows x cols zero payload."""
+    return struct.pack("<4sHHII", b"PSPC", 1, 0, rows, cols) + bytes(8 * rows * cols)
+
+
 class TestContainerBytes:
     def test_real_round_trip(self, rng):
-        m = Matrix(rng.standard_normal((3, 5)))
+        m = Matrix(rng.standard_normal((4, 4)))
         c = MatrixContainer.wrap(m, "weights")
         data = container_to_bytes(c)
         back = container_from_bytes(data)
@@ -79,6 +87,11 @@ class TestContainerBytes:
         with pytest.raises(FormatError, match="footer length"):
             container_from_bytes(data + b"z")
 
+    @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 2)])
+    def test_non_square_rejected_at_offset_8(self, rows, cols):
+        with pytest.raises(FormatError, match=f"square matrix, got {rows}x{cols} at offset 8"):
+            container_from_bytes(_container(rows, cols))
+
     def test_nan_payload_rejected(self):
         data = bytearray(container_to_bytes(MatrixContainer.wrap(Matrix(np.eye(1)))))
         data[16:24] = np.array([np.nan]).tobytes()
@@ -128,6 +141,12 @@ class TestCsv:
         with pytest.raises(FormatError, match="no numeric rows"):
             self._parse(tmp_path, "")
 
+    def test_non_square_names_the_path(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("1,2,3\n4,5,6\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: expected a square matrix, got 2x3$"):
+            parse_matrix_csv(p)
+
     def test_blank_lines_skipped(self, tmp_path):
         m = self._parse(tmp_path, "1,2\n\n3,4\n")
         assert m.shape == (2, 2)
@@ -141,6 +160,16 @@ class TestSniffing:
         got, name = load_matrix_any(p)
         assert name == "inner"
         assert np.array_equal(got.array, m.array)
+
+    @pytest.mark.parametrize("suffix", [".csv", ".pspc"])
+    def test_non_square_file_is_format_error(self, tmp_path, suffix):
+        p = tmp_path / f"wide{suffix}"
+        if suffix == ".csv":
+            p.write_text("1,0,0\n0,1,0\n")
+        else:
+            p.write_bytes(_container(2, 3))
+        with pytest.raises(FormatError, match=r"wide\.(csv|pspc): expected a square matrix, got 2x3"):
+            load_matrix_any(p)
 
     def test_csv_fallback_uses_stem(self, tmp_path):
         p = tmp_path / "mat.csv"

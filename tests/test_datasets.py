@@ -232,6 +232,11 @@ class TestSyntheticDigits:
         assert labels.min() >= 0 and labels.max() <= 9
         assert images.max() > 100  # strokes are visible
 
+    def test_empty(self):
+        images, labels = synthetic_digits(0, size=8)
+        assert images.shape == (0, 8, 8) and images.dtype == np.uint8
+        assert labels.shape == (0,) and labels.dtype == np.uint8
+
     def test_deterministic(self):
         a = synthetic_digits(20, seed=9)
         b = synthetic_digits(20, seed=9)

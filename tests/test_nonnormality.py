@@ -52,10 +52,6 @@ class TestHenrici:
             rotated = Matrix(u.array @ m.array @ u.array.conj().T)
             assert henrici_number(rotated) == pytest.approx(henrici_number(m), abs=1e-9)
 
-    def test_requires_square(self):
-        with pytest.raises(ValueError):
-            henrici_number(Matrix(np.zeros((2, 3))))
-
 
 class TestSchurDeparture:
     def test_already_triangular(self):

@@ -98,10 +98,6 @@ class TestSigmaMin:
                 sigma_min_at(w, lam), abs=1e-10
             )
 
-    def test_requires_square(self):
-        with pytest.raises(ValueError):
-            sigma_min_at(Matrix(np.zeros((2, 3))), 0.0)
-
     def test_svd_failure_is_numerical_error(self, monkeypatch):
         def failing_svd(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -508,11 +504,6 @@ class TestComputeFields:
 
     def test_no_jobs(self):
         assert compute_fields([], (0.1,), workers=3) == []
-
-    def test_non_square_job_rejected(self, rng):
-        w = random_matrix(rng, 3)
-        with pytest.raises(ValueError, match="square"):
-            compute_fields([(w, auto_grid(w)), (random_matrix(rng, 2, 3), auto_grid(w))], workers=2)
 
     def test_eigenvalues_are_taken_on_the_calling_thread(self, rng, monkeypatch):
         jobs = _mixed_jobs(rng)

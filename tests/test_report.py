@@ -204,6 +204,10 @@ class TestSvg:
         b = portrait_svg([("m", field.eigenvalues, contours)], grid)
         assert a == b
 
+    def test_no_panels_rejected(self):
+        with pytest.raises(ValueError, match="at least one panel"):
+            portrait_svg([], GridSpec(-2, 2, -2, 2, 5, 5))
+
     def test_name_escaped(self):
         grid = GridSpec(-2, 2, -2, 2, 5, 5)
         svg = portrait_svg([("a<b&c", np.array([0.5 + 0j]), None)], grid)

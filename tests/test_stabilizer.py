@@ -92,10 +92,6 @@ class TestInputContracts:
         with pytest.raises(ValueError, match="real"):
             stabilize(Matrix([[1j, 0], [0, 1]]))
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            stabilize(Matrix(np.zeros((2, 3))))
-
 
 class TestResultInvariants:
     def test_rescale_is_elementwise(self, rng):
