@@ -68,6 +68,23 @@ from .stabilizer import StabilizerConfig, stabilize
 
 DEFAULT_EPS_LEVELS = tuple(10.0 ** (-3 + 0.5 * k) for k in range(6))
 
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"^-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][+-]?{_DIGITS})?|(?i:inf|infinity|nan))$"
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and its subparsers, that read a negative number in any ``float`` notation as a value.
+
+    argparse on Python 3.10 and 3.11 takes only -12 and -1.5 for negative
+    numbers, and reads a token such as -1e-3 or -inf as an option.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
 
 def _parse_eps(text: str | None):
     if text is None:
@@ -254,10 +271,6 @@ def cmd_train(args) -> int:
     if args.task == "adding":
         train_ds, eval_ds = adding_splits(args.train_size, args.test_size, args.seq_len, args.seed)
     else:
-        if args.mnist_images is None or args.mnist_labels is None:
-            raise ValueError("--task mnist requires --mnist-images and --mnist-labels")
-        if (args.mnist_test_images is None) != (args.mnist_test_labels is None):
-            raise ValueError("--mnist-test-images and --mnist-test-labels go together: give both or neither")
         train_ds, eval_ds = mnist_splits(
             args.mnist_images, args.mnist_labels, args.train_size, args.test_size,
             args.mnist_test_images, args.mnist_test_labels,
@@ -298,7 +311,7 @@ def cmd_train(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specto",
         description="Spectral stability / robustness analysis of recurrent weight matrices.",
     )

@@ -49,10 +49,6 @@ class MatrixContainer:
     name: str | None = None
     complex_storage: bool = False
 
-    @classmethod
-    def wrap(cls, matrix: Matrix, name: str | None = None) -> "MatrixContainer":
-        return cls(matrix=matrix, name=name, complex_storage=not matrix.is_real)
-
 
 def container_to_bytes(c: MatrixContainer) -> bytes:
     flags = FLAG_COMPLEX if c.complex_storage else 0
@@ -116,12 +112,12 @@ def container_from_bytes(data: bytes, source: str = "<bytes>") -> MatrixContaine
 
 def write_matrix_file(path, matrix: Matrix, name: str | None = None) -> None:
     """Write ``matrix`` as a container named ``name``, complex storage only when it has imaginary parts."""
-    Path(path).write_bytes(container_to_bytes(MatrixContainer.wrap(matrix, name)))
+    Path(path).write_bytes(container_to_bytes(MatrixContainer(matrix, name, complex_storage=not matrix.is_real)))
 
 
 def parse_matrix_csv(path) -> Matrix:
     """Comma-separated decimal floats, one matrix row per line, as many rows as columns."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is not part of the data
     rows: list[list[float]] = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .matrix import Matrix, eigenvalues, two_norm
+from .matrix import Matrix, eigenvalues, spectral_radius, two_norm
 from .nonnormality import nonnormality_report
 from .pseudospectrum import ContourSet, GridSpec, PseudospectrumField, kreiss_lower_bound
 
@@ -74,7 +74,7 @@ def build_matrix_report(
         raise ValueError("build_matrix_report needs a field and its contours together, or neither")
     evs = eigenvalues(w)
     nn = nonnormality_report(w)
-    rho = float(np.abs(evs).max())
+    rho = spectral_radius(w)
     kreiss = kreiss_lower_bound(pfield, contours.levels) if contours else None
     return MatrixReport(
         name=name,

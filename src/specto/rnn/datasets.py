@@ -200,12 +200,17 @@ def mnist_splits(
     The evaluation split is the first ``n_test`` images of the test pair when
     ``test_images`` is given, else of the images after the first ``n_train``.
     The loaded files are dropped on return, so a run holds what it trains and
-    evaluates on, not every image of the files. A split left empty, or half a
-    test pair, is a ValueError.
+    evaluates on, not every image of the files. A missing ``images`` or
+    ``labels``, half a test pair, or a split left empty, is a ValueError.
     """
-    _check_sizes(n_train, n_test)
+    if images is None or labels is None:
+        raise ValueError("images (--mnist-images) and labels (--mnist-labels) are both required")
     if (test_images is None) != (test_labels is None):
-        raise ValueError("test_images and test_labels go together: give both or neither")
+        raise ValueError(
+            "test_images (--mnist-test-images) and test_labels (--mnist-test-labels) go together: "
+            "give both or neither"
+        )
+    _check_sizes(n_train, n_test)
     train, held_out = load_mnist_idx(images, labels).split(n_train)
     if test_images is not None:
         held_out = load_mnist_idx(test_images, test_labels)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -651,3 +652,36 @@ class TestInit:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             init_cell("elman", 2, 3, 1)
+
+
+class TestCellParamsContract:
+    """A CellParams is built only from a known kind's gates, in order, with consistent finite shapes."""
+
+    @staticmethod
+    def _bad(cell, reason):
+        gates, h = cell.gates, cell.hidden
+        return {
+            "kind": {"kind": "elman"},
+            "gates": {"w_in": {g: cell.w_in[g] for g in reversed(gates)}},
+            "shapes": {"w_rec": {g: np.zeros((h, h + 1)) for g in gates}},
+            "bias": {"b": {g: np.zeros(h + 1) for g in gates}},
+            "readout": {"b_out": np.zeros(cell.w_out.shape[0] + 1)},
+            "finite": {"w_out": np.full_like(cell.w_out, np.nan)},
+        }[reason]
+
+    @pytest.mark.parametrize(
+        "reason, message",
+        [
+            ("kind", "unknown cell kind 'elman'"),
+            ("gates", "gru cell needs gates ('update', 'reset', 'candidate'), got ('candidate', 'reset', 'update')"),
+            ("shapes", "inconsistent shapes in gate 'update'"),
+            ("bias", "bias shape mismatch in gate 'update'"),
+            ("readout", "readout shape mismatch"),
+            ("finite", "cell parameters must be finite"),
+        ],
+    )
+    def test_each_broken_rule_is_named(self, reason, message):
+        cell = init_cell("gru", 2, 3, 1, seed=0)
+        with pytest.raises(ValueError) as raised:
+            dataclasses.replace(cell, **self._bad(cell, reason))
+        assert str(raised.value) == message

@@ -94,6 +94,47 @@ class TestAnalyze:
     def test_bad_eps_exit_2(self, tmp_path, identity_csv):
         assert run(["analyze", identity_csv, "--out", tmp_path / "o", "--eps", "0.5,0.1"]) == 2
 
+    def test_non_numeric_eps_exit_2_with_one_line(self, tmp_path, identity_csv, capsys):
+        out = tmp_path / "o"
+        assert run(["analyze", identity_csv, "--out", out, "--eps", "1e-3,abc"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "specto: usage error: --eps expects comma-separated floats, got '1e-3,abc'\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "box", [["-2", "2", "-1e-3", "1"], ["-2e0", "2", "-1", "1"], ["-.5", "2.", "-1_0.0", "-1E+0"]]
+    )
+    def test_negative_box_values_in_any_float_notation(self, tmp_path, identity_csv, box):
+        out = tmp_path / "o"
+        assert run(["analyze", identity_csv, "--box", *box, "--nx", "9", "--ny", "9", "--out", out]) == 0
+        assert json.loads((out / "report.json").read_text())["config"]["box"] == [float(v) for v in box]
+
+    @pytest.mark.parametrize("box", [["-inf", "2", "-1", "1"], ["-2", "2", "-NaN", "1"]])
+    def test_negative_non_finite_box_is_one_usage_line(self, tmp_path, identity_csv, capsys, box):
+        out = tmp_path / "o"
+        assert run(["analyze", identity_csv, "--box", *box, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("specto: usage error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_box_with_too_few_values_exit_2(self, tmp_path, identity_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", identity_csv, "--box", "-2", "2", "--out", tmp_path / "o"])
+        assert exc.value.code == 2
+        assert "argument --box: expected 4 arguments" in capsys.readouterr().err
+
+    def test_byte_order_mark_and_crlf_csv_analyze_to_the_plain_report(self, tmp_path):
+        plain = b"1,2\n0,0.5\n"
+        crlf = plain.replace(b"\n", b"\r\n")
+        reports = []
+        for tag, data in [("plain", plain), ("crlf", crlf), ("bom", b"\xef\xbb\xbf" + crlf)]:
+            d = tmp_path / tag
+            d.mkdir()
+            (d / "w.csv").write_bytes(data)  # the same name: report.json records the stem
+            assert run(["analyze", d / "w.csv", "--nx", "9", "--ny", "9", "--out", d / "o"]) == 0
+            reports.append((d / "o" / "report.json").read_bytes())
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
     @pytest.mark.parametrize("command", ["analyze", "compare"])
     @pytest.mark.parametrize("eps", ["nan", "0.1,inf", ""])  # "" lists no level, like ","
     def test_non_finite_eps_exit_2_before_any_output(self, tmp_path, identity_csv, capsys, command, eps):
@@ -712,6 +753,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("specto: usage error:") and flag in err and err.count("\n") == 1
         assert not out.exists()
+
+    def test_negative_memory_bias_in_exponent_notation(self, tmp_path, monkeypatch):
+        seen, train = [], cli.train
+
+        def capturing(cfg, *args, **kwargs):
+            seen.append(cfg)
+            return train(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", capturing)
+        argv = ["train", "--task", "adding", "--out", tmp_path / "o", "--train-size", "8", "--test-size", "4",
+                "--seq-len", "4", "--epochs", "1", "--hidden", "2", "--snapshot-every", "0",
+                "--memory-bias", "-1e-1"]
+        assert run(argv) == 0
+        assert seen[0].memory_bias == -0.1
 
     def test_lr_zero_flat_history(self, tmp_path):
         out = tmp_path / "flat"

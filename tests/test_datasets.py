@@ -95,6 +95,12 @@ class TestIdx:
         with pytest.raises(FormatError, match=rf"imgs\.idx: images of {shape[1]}x{shape[2]} pixels: need at least one"):
             load_mnist_idx(ipath, lpath)
 
+    @pytest.mark.parametrize("shape", [(28, 28), (2, 28, 28, 1)])
+    def test_writer_takes_only_an_image_stack(self, tmp_path, shape):
+        with pytest.raises(ValueError, match=r"^images must be \(n, rows, cols\) uint8$"):
+            write_idx_images(tmp_path / "i.idx", np.zeros(shape, dtype=np.uint8))
+        assert not (tmp_path / "i.idx").exists()
+
     def test_bad_magic(self, tmp_path, rng):
         ipath, lpath = self._write_pair(
             tmp_path,
@@ -211,8 +217,15 @@ class TestMnistSplits:
 
     @pytest.mark.parametrize("half", [{"test_images": "i.idx"}, {"test_labels": "l.idx"}])
     def test_test_pair_goes_together(self, pair, half):
-        with pytest.raises(ValueError, match="give both or neither"):
+        with pytest.raises(ValueError, match="give both or neither") as raised:
             mnist_splits(*pair[:2], 20, 5, **half)
+        assert "test_images (--mnist-test-images) and test_labels (--mnist-test-labels)" in str(raised.value)
+
+    @pytest.mark.parametrize("images, labels", [(None, None), ("i.idx", None), (None, "l.idx")])
+    def test_training_pair_is_required(self, images, labels):
+        with pytest.raises(ValueError) as raised:
+            mnist_splits(images, labels, 10, 5)
+        assert str(raised.value) == "images (--mnist-images) and labels (--mnist-labels) are both required"
 
     def test_empty_evaluation_split(self, pair):
         with pytest.raises(ValueError, match="leave 30 training and 0 evaluation images"):

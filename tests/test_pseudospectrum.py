@@ -324,6 +324,20 @@ class TestCertifiedField:
                 call()
         assert extract_contours(f, [0.1]).levels == (0.1,)
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([[1, 1, 1], [1, -1e-300, 1]], "field values must be finite and nonnegative"),
+            ([[1, 1, 1], [1, 1, np.nan]], "field values must be finite and nonnegative"),
+            (np.ones((3, 2)), "values shape (3, 2) does not match grid (2, 3)"),
+        ],
+    )
+    def test_field_values_validation(self, values, message):
+        grid = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 3)
+        with pytest.raises(ValueError) as raised:
+            PseudospectrumField(grid, np.array(values, dtype=float), np.zeros(1, complex))
+        assert str(raised.value) == message
+
     def test_field_mask_validation(self):
         grid = GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2)
         values, eigs = np.ones((2, 2)), np.zeros(1, complex)
@@ -775,6 +789,11 @@ class TestContours:
             extract_contours(f, [-0.5, 0.1])
         with pytest.raises(ValueError):
             extract_contours(f, [])
+
+    @pytest.mark.parametrize("groups", [0, 1, 3])
+    def test_one_polyline_group_per_level(self, groups):
+        with pytest.raises(ValueError, match="^one polyline group per level required$"):
+            ContourSet(levels=(0.1, 0.2), polylines=((),) * groups)
 
     @pytest.mark.parametrize("levels", [[float("nan")], [0.1, float("nan")], [0.1, float("inf")], [float("inf")]])
     def test_non_finite_levels_rejected(self, levels):

@@ -127,6 +127,13 @@ class TestSpectralReport:
         assert rep.henrici == pytest.approx(henrici_number(w), rel=1e-12)
 
 
+class TestFmtFloat:
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, x):
+        with pytest.raises(ValueError, match="^reports must not contain non-finite numbers$"):
+            fmt_float(x)
+
+
 class TestContourCsv:
     def test_structure(self, tmp_path, rng):
         w = Matrix(np.eye(2))
