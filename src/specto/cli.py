@@ -11,13 +11,17 @@ makes its output directory at its first write: ``analyze`` and
 ``compare`` once every field and report is built, so a failing one writes
 nothing, and ``train`` with its first gate snapshot (its final gates
 under --snapshot-every 0), so a run that fails before then writes nothing
-either. ``analyze`` and ``compare`` check before they load any input, and
-``train`` before its first epoch, that --out is a directory or can become
-one. Report and SVG outputs contain no timestamps or
-filesystem paths, and every command runs with numpy's OpenBLAS, which
-computes the SVDs and the Schur forms, at one thread (scipy's too where
-the Schur form falls back to scipy, ``_blas``), so identical flags and
-seeds reproduce identical bytes whatever the BLAS thread settings.
+either. ``analyze`` and ``compare`` check in one order: the usage flags
+(--eps, --stability-tol, --workers, --box), then that --out is a directory
+or can become one, then read each input file once; the automatic grid's
+--pad, --nx and --ny are checked when that grid is built, as it needs the
+spectra. ``train`` rejects an --mnist-* flag under --task adding before it
+generates any data, and checks --out before its first epoch. Report and
+SVG outputs contain no timestamps or filesystem paths, and every command
+runs with numpy's OpenBLAS, which computes the SVDs and the Schur forms,
+at one thread (scipy's too where the Schur form falls back to scipy,
+``_blas``), so identical flags and seeds reproduce identical bytes
+whatever the BLAS thread settings.
 --timing prints to stderr whether that pin took and, for each matrix, the
 seconds from the start of the shared field phase to the end of that
 matrix's report, and its evaluated grid nodes, in one format for every
@@ -52,6 +56,7 @@ from .pseudospectrum import (
     check_levels,
     compute_fields,
     extract_contours,
+    resolve_workers,
 )
 from .report import (
     AnalysisReport,
@@ -96,11 +101,6 @@ def _parse_eps(text: str | None):
     return check_levels(eps)
 
 
-def _check_stability_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"--stability-tol must be finite and >= 0, got {tol!r}")
-
-
 def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", name) or "matrix"
 
@@ -115,13 +115,6 @@ def _unique_names(names):
             unique = f"{base}-{k}"
         out.append(unique)
     return out
-
-
-def _grid_for(args, *ms: Matrix) -> GridSpec:
-    """The --box grid, else the automatic grid shared by all of ``ms``."""
-    if args.box is not None:
-        return GridSpec(*args.box, args.nx, args.ny)
-    return auto_grid(*ms, pad=args.pad, nx=args.nx, ny=args.ny)
 
 
 def _grid_flags(sub):
@@ -148,6 +141,18 @@ def _check_out_dir(path: Path) -> None:
             return
 
 
+def _field_settings(args):
+    """eps, the --box grid (None: automatic) and --out of analyze and compare, each checked before any input."""
+    eps = _parse_eps(args.eps)
+    if not (math.isfinite(args.stability_tol) and args.stability_tol >= 0.0):
+        raise ValueError(f"--stability-tol must be finite and >= 0, got {args.stability_tol!r}")
+    resolve_workers(args.workers)
+    box = None if args.box is None else GridSpec(*args.box, args.nx, args.ny)
+    out_dir = Path(args.out)
+    _check_out_dir(out_dir)
+    return eps, box, out_dir
+
+
 def _analyze_jobs(jobs, eps, args, timing=False):
     """Fields, contours and reports of (name, matrix, grid) jobs, the fields on one SVD pool."""
     t0 = time.perf_counter()
@@ -163,13 +168,10 @@ def _analyze_jobs(jobs, eps, args, timing=False):
 
 
 def cmd_analyze(args) -> int:
-    eps = _parse_eps(args.eps)
-    _check_stability_tol(args.stability_tol)
-    out_dir = Path(args.out)
-    _check_out_dir(out_dir)
+    eps, box, out_dir = _field_settings(args)
     loaded = [load_matrix_any(p) for p in args.inputs]
     names = _unique_names(name for _, name in loaded)
-    jobs = [(name, m, _grid_for(args, m)) for (m, _), name in zip(loaded, names)]
+    jobs = [(name, m, box or auto_grid(m, pad=args.pad, nx=args.nx, ny=args.ny)) for (m, _), name in zip(loaded, names)]
     if args.timing:
         pinned = ", ".join(one_thread.pinned)
         note = f"one thread ({pinned})" if pinned else "unpinned, no OpenBLAS thread setter found"
@@ -202,8 +204,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_stabilize(args) -> int:
+    config = _config(StabilizerConfig, args)
     m, name = load_matrix_any(args.input)
-    result = stabilize(m, _config(StabilizerConfig, args))
+    result = stabilize(m, config)
     write_matrix_file(args.output, result.w_s, name)
     print(fmt_float(result.gain_estimate))
     # a few iterations underestimate the gain, and then rho(W_s) can exceed 1
@@ -212,16 +215,13 @@ def cmd_stabilize(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    eps = _parse_eps(args.eps)
-    _check_stability_tol(args.stability_tol)
-    out_dir = Path(args.out)
-    _check_out_dir(out_dir)
+    eps, box, out_dir = _field_settings(args)
     before, before_name = load_matrix_any(args.before)
     after, after_name = load_matrix_any(args.after)
     if before.shape != after.shape:
         raise FormatError(f"dimension mismatch: {before_name} is {before.shape}, {after_name} is {after.shape}")
     names = _unique_names([f"before-{before_name}", f"after-{after_name}"])
-    grid = _grid_for(args, before, after)
+    grid = box or auto_grid(before, after, pad=args.pad, nx=args.nx, ny=args.ny)
     fields, contours, reports = _analyze_jobs([(names[0], before, grid), (names[1], after, grid)], eps, args)
     counts = [[int((f.values <= e).sum()) for e in eps] for f in fields]
     delta = {
@@ -265,6 +265,10 @@ def _config(cls, args):
 
 
 def cmd_train(args) -> int:
+    if args.task == "adding":
+        for flag in ("images", "labels", "test_images", "test_labels"):
+            if getattr(args, f"mnist_{flag}") is not None:
+                raise ValueError(f"--mnist-{flag.replace('_', '-')} applies only to --task mnist")
     if args.snapshot_every < 0:
         raise ValueError(f"--snapshot-every must be >= 0 (0 disables snapshots), got {args.snapshot_every}")
     cfg = _config(TrainConfig, args)

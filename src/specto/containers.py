@@ -115,9 +115,13 @@ def write_matrix_file(path, matrix: Matrix, name: str | None = None) -> None:
     Path(path).write_bytes(container_to_bytes(MatrixContainer(matrix, name, complex_storage=not matrix.is_real)))
 
 
-def parse_matrix_csv(path) -> Matrix:
+def parse_matrix_csv(data: bytes, source: str = "<bytes>") -> Matrix:
     """Comma-separated decimal floats, one matrix row per line, as many rows as columns."""
-    text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is not part of the data
+    try:
+        text = data.decode("utf-8-sig")  # a leading byte-order mark is not part of the data
+    except UnicodeDecodeError as exc:  # the codec counts from after the 3-byte byte-order mark
+        offset = exc.start + (3 if data.startswith(b"\xef\xbb\xbf") else 0)
+        raise FormatError(f"{source}: not UTF-8 at offset {offset}") from None
     rows: list[list[float]] = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -129,28 +133,28 @@ def parse_matrix_csv(path) -> Matrix:
             try:
                 values.append(float(token))
             except ValueError:
-                raise FormatError(f"{path}: non-numeric token {token.strip()!r} at line {lineno}") from None
+                raise FormatError(f"{source}: non-numeric token {token.strip()!r} at line {lineno}") from None
             if not math.isfinite(values[-1]):
-                raise FormatError(f"{path}: non-finite value {token.strip()!r} at line {lineno}")
+                raise FormatError(f"{source}: non-finite value {token.strip()!r} at line {lineno}")
         if width is None:
             width = len(values)
         elif len(values) != width:
             raise FormatError(
-                f"{path}: ragged row at line {lineno}: {len(values)} columns, expected {width}"
+                f"{source}: ragged row at line {lineno}: {len(values)} columns, expected {width}"
             )
         rows.append(values)
     if not rows:
-        raise FormatError(f"{path}: no numeric rows")
+        raise FormatError(f"{source}: no numeric rows")
     if len(rows) != width:
-        raise FormatError(f"{path}: expected a square matrix, got {len(rows)}x{width}")
+        raise FormatError(f"{source}: expected a square matrix, got {len(rows)}x{width}")
     return Matrix(rows)
 
 
 def load_matrix_any(path) -> tuple[Matrix, str]:
-    """Container or CSV, sniffed by magic bytes; name falls back to the stem."""
+    """Container or CSV, sniffed by the magic of the file read once; name falls back to the stem."""
     p = Path(path)
     data = p.read_bytes()
     if data[:4] == MAGIC:
         c = container_from_bytes(data, source=str(path))
         return c.matrix, (c.name or p.stem)
-    return parse_matrix_csv(path), p.stem
+    return parse_matrix_csv(data, source=str(path)), p.stem

@@ -3,6 +3,12 @@ import pytest
 
 from specto import Matrix, schur
 
+BOM = b"\xef\xbb\xbf"
+LATIN_1_CSV = b"1,2\n0,\xe90.5\n"
+# CSVs that are not UTF-8, each with the file offset of its first byte that is not
+NOT_UTF8_CSVS = [(LATIN_1_CSV, 6), ("1,2\n0,0.5\n".encode("utf-16"), 0), (BOM + LATIN_1_CSV, 9)]
+NOT_UTF8_IDS = ["latin-1", "utf-16", "bom-latin-1"]
+
 
 def random_matrix(rng, rows, cols=None, complex_entries=True, scale=1.0):
     cols = rows if cols is None else cols

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import NOT_UTF8_CSVS, NOT_UTF8_IDS
 
 from specto import (
     Matrix,
@@ -347,10 +348,28 @@ class TestStabilize:
         assert float(value) > 1.0
         assert float(value) == pytest.approx(2.0 / gain, rel=1e-12)
 
-    def test_zero_matrix_exit_2(self, tmp_path, capsys):
-        src = tmp_path / "z.csv"
-        src.write_text("0,0\n0,0\n")
-        assert run(["stabilize", src, tmp_path / "o.pspc"]) == 2
+    @pytest.mark.parametrize(
+        "name, matrix, message",
+        [
+            ("z.csv", None, "cannot stabilize the zero matrix"),
+            ("c.pspc", Matrix([[1.0, 1j], [0.0, 0.5]]), "stabilize requires a real-valued matrix"),
+        ],
+        ids=["zero", "complex"],
+    )
+    def test_zero_matrix_exit_2(self, tmp_path, capsys, name, matrix, message):
+        # analyze takes both inputs; stabilize rejects them as usage errors
+        src = tmp_path / name
+        if matrix is None:
+            src.write_text("0,0\n0,0\n")
+        else:
+            write_matrix_file(src, matrix, name="c")
+        dst = tmp_path / "o.pspc"
+        assert run(["stabilize", src, dst]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"specto: usage error: {message}\n"
+        assert not dst.exists()
+        assert run(["analyze", src, "--out", tmp_path / "a", "--nx", "5", "--ny", "5"]) == 0
 
     def test_defaults_are_the_config_defaults(self, tmp_path, monkeypatch):
         seen = []
@@ -553,6 +572,17 @@ class TestFailuresWriteNothing:
         assert "batch" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--mnist-images", "--mnist-labels", "--mnist-test-images", "--mnist-test-labels"])
+    def test_train_mnist_flag_under_the_adding_task(self, tmp_path, capsys, monkeypatch, flag):
+        monkeypatch.setattr(cli, "adding_splits", lambda *args, **kwargs: pytest.fail("data generated"))
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("training started"))
+        out = tmp_path / "t"
+        assert run(["train", "--task", "adding", "--out", out, flag, tmp_path / "nowhere.idx"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"specto: usage error: {flag} applies only to --task mnist\n"
+        assert [p.name for p in tmp_path.iterdir()] == []
+
     def test_train_missing_mnist_file(self, tmp_path, capsys):
         out = tmp_path / "t"
         argv = ["train", "--task", "mnist", "--out", out, "--mnist-images", tmp_path / "none.idx"]
@@ -636,6 +666,38 @@ class TestFailuresWriteNothing:
         assert "'F'" in captured.err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "w.csv"]
         assert (tmp_path / "F").read_text() == "a file\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "missing.csv", "--out", "o", "--workers", "0"],
+            ["compare", "missing.csv", "missing.csv", "--out", "o", "--box", "1", "0", "0", "1"],
+            ["analyze", "w.csv", "--workers", "0", "--out", "F"],
+            ["stabilize", "missing.csv", "o.pspc", "-m", "0"],
+        ],
+        ids=["analyze-workers", "compare-box", "workers-before-out", "stabilize-m"],
+    )
+    def test_usage_flags_fail_before_out_and_any_input(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "load_matrix_any", lambda *args: pytest.fail("input loaded"))
+        (tmp_path / "w.csv").write_text("0.5,1\n0,0.25\n")
+        (tmp_path / "F").write_text("a file\n")
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("specto: usage error:") and captured.err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "w.csv"]
+
+    @pytest.mark.parametrize("data, offset", NOT_UTF8_CSVS, ids=NOT_UTF8_IDS)
+    def test_csv_not_utf8_is_an_input_error(self, tmp_path, capsys, data, offset):
+        src = tmp_path / "m.csv"
+        src.write_bytes(data)
+        out = tmp_path / "o"
+        assert run(["analyze", src, "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"specto: input error: {src}: not UTF-8 at offset {offset}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("shape", [(20, 28, 0), (20, 0, 28)])  # no columns, no rows
     def test_train_mnist_images_without_pixels(self, tmp_path, capsys, shape):

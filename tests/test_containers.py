@@ -1,9 +1,11 @@
+import builtins
+import io
 import re
 import struct
 
 import numpy as np
 import pytest
-from conftest import random_matrix
+from conftest import BOM, NOT_UTF8_CSVS, NOT_UTF8_IDS, random_matrix
 
 from specto import (
     FormatError,
@@ -134,51 +136,54 @@ class TestContainerFiles:
 
 
 class TestCsv:
-    def _parse(self, tmp_path, text):
-        p = tmp_path / "m.csv"
-        p.write_text(text, encoding="utf-8")
-        return parse_matrix_csv(p)
+    def _parse(self, text):
+        return parse_matrix_csv(text.encode("utf-8"))
 
-    def test_identity(self, tmp_path):
-        m = self._parse(tmp_path, "1,0\n0,1\n")
+    def test_identity(self):
+        m = self._parse("1,0\n0,1\n")
         assert np.array_equal(m.array, np.eye(2))
 
-    def test_scientific_and_negative(self, tmp_path):
-        m = self._parse(tmp_path, "1e0,2.5\n-3,4\n")
+    def test_scientific_and_negative(self):
+        m = self._parse("1e0,2.5\n-3,4\n")
         np.testing.assert_allclose(m.array.real, [[1.0, 2.5], [-3.0, 4.0]])
 
-    def test_ragged_row_reports_line(self, tmp_path):
+    def test_ragged_row_reports_line(self):
         with pytest.raises(FormatError, match="line 2"):
-            self._parse(tmp_path, "1,2\n3\n")
+            self._parse("1,2\n3\n")
 
-    def test_non_numeric_token(self, tmp_path):
+    def test_non_numeric_token(self):
         with pytest.raises(FormatError, match="'x'"):
-            self._parse(tmp_path, "1,x\n")
+            self._parse("1,x\n")
 
-    def test_empty_file(self, tmp_path):
+    def test_empty_file(self):
         with pytest.raises(FormatError, match="no numeric rows"):
-            self._parse(tmp_path, "")
+            self._parse("")
 
     def test_non_square_names_the_path(self, tmp_path):
         p = tmp_path / "r.csv"
-        p.write_text("1,2,3\n4,5,6\n")
         with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: expected a square matrix, got 2x3$"):
-            parse_matrix_csv(p)
+            parse_matrix_csv(b"1,2,3\n4,5,6\n", source=str(p))
 
-    def test_byte_order_mark_and_crlf_read_as_the_plain_file(self, tmp_path):
+    def test_byte_order_mark_and_crlf_read_as_the_plain_file(self):
         plain = b"1,2\n0,0.5\n"
         crlf = plain.replace(b"\n", b"\r\n")
-        matrices = []
-        for k, data in enumerate([plain, crlf, b"\xef\xbb\xbf" + crlf, b"\xef\xbb\xbf" + plain]):
-            p = tmp_path / f"m{k}.csv"
-            p.write_bytes(data)
-            matrices.append(parse_matrix_csv(p))
+        matrices = [parse_matrix_csv(data) for data in [plain, crlf, BOM + crlf, BOM + plain]]
         assert matrices[0].array.tobytes() == np.array([[1, 2], [0, 0.5]], dtype=complex).tobytes()
         assert all(m.array.tobytes() == matrices[0].array.tobytes() for m in matrices)
 
-    def test_blank_lines_skipped(self, tmp_path):
-        m = self._parse(tmp_path, "1,2\n\n3,4\n")
+    def test_blank_lines_skipped(self):
+        m = self._parse("1,2\n\n3,4\n")
         assert m.shape == (2, 2)
+
+    @pytest.mark.parametrize("data, offset", NOT_UTF8_CSVS, ids=NOT_UTF8_IDS)
+    def test_not_utf8_names_the_file_offset(self, tmp_path, data, offset):
+        # the utf-8-sig codec counts from after a byte-order mark; the message counts from the file's start
+        with pytest.raises(FormatError, match=f"^<bytes>: not UTF-8 at offset {offset}$"):
+            parse_matrix_csv(data)
+        p = tmp_path / "m.csv"
+        p.write_bytes(data)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: not UTF-8 at offset {offset}$"):
+            load_matrix_any(p)
 
 
 class TestSniffing:
@@ -199,6 +204,23 @@ class TestSniffing:
             p.write_bytes(_container(2, 3))
         with pytest.raises(FormatError, match=r"wide\.(csv|pspc): expected a square matrix, got 2x3"):
             load_matrix_any(p)
+
+    def test_csv_is_read_from_disk_once(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.csv"
+        p.write_text("1,0\n0,2\n")
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == str(p):
+                opened.append(args[0] if args else kwargs.get("mode", "r"))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)  # Path.open calls io.open
+        monkeypatch.setattr(builtins, "open", counting_open)
+        got, _ = load_matrix_any(p)
+        assert opened == ["rb"]
+        assert got.array[1, 1] == 2.0
 
     def test_csv_fallback_uses_stem(self, tmp_path):
         p = tmp_path / "mat.csv"
